@@ -2,13 +2,20 @@
 
 min f'x  s.t.  A x = b,  lower <= x <= upper
 
-All arithmetic is over Fraction, so optima are exact and A x = b holds with
-no tolerance. The solver is a two-phase bounded-variable simplex with
-Bland's anti-cycling rule, which always terminates and lands on a basic
-feasible point (a vertex), so integrality over TU systems comes for free.
+All arithmetic is exact, so optima are exact and A x = b holds with no
+tolerance. The solver is a two-phase bounded-variable simplex with Bland's
+anti-cycling rule, which always terminates and lands on a basic feasible
+point (a vertex), so integrality over TU systems comes for free.
+
+The tableau B^{-1} [A | I] is kept as sparse rows ({column: entry}, zeros
+never stored). An entry is a plain int while it is integral and a Fraction
+only when it is not, so over a TU matrix the tableau stays in small ints.
+The reduced-cost row is computed once per phase and updated with the
+scaled pivot row at each basis change; a bound flip leaves it unchanged.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -75,180 +82,224 @@ class LPSolution:
     x: list = None                   # Fractions, length N
     objective: Fraction = None
     basis: list = field(default_factory=list)
+    stats: dict = field(default_factory=dict)  # pivot and bound-flip counts
+
+
+def _exact(v):
+    """v as an int when it is integral, else as a Fraction."""
+    if type(v) is int or v.denominator != 1:
+        return v
+    return v.numerator
+
+
+def _div(a, b):
+    """Exact a / b for nonzero b, normalised by `_exact`."""
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _exact(a / b)
 
 
 class _Tableau:
-    """Bounded-variable simplex state over Fractions."""
+    """Bounded-variable simplex state over sparse rows of B^{-1} [A | I]."""
 
-    def __init__(self, A, lower, upper, basis, T, beta, status):
-        self.A = A
+    def __init__(self, lower, upper, basis, rows, beta, status):
         self.lower = lower
         self.upper = upper
         self.basis = basis          # basis[r] = variable index of row r
-        self.T = T                  # B^{-1} A, full width
+        self.rows = rows            # rows[r] = {column: nonzero entry}
         self.beta = beta            # values of basic variables
-        self.status = status        # nonbasic j -> _AT_LOWER/_AT_UPPER
-
-    def value(self, j):
-        for r, bj in enumerate(self.basis):
-            if bj == j:
-                return self.beta[r]
-        return self.lower[j] if self.status[j] == _AT_LOWER else self.upper[j]
+        self.status = status        # _AT_LOWER/_AT_UPPER; None when basic
+        self.pivots = 0
+        self.bound_flips = 0
 
     def point(self, n):
-        in_basis = {bj: r for r, bj in enumerate(self.basis)}
-        x = []
-        for j in range(n):
-            if j in in_basis:
-                x.append(self.beta[in_basis[j]])
-            else:
-                x.append(self.lower[j] if self.status[j] == _AT_LOWER
-                         else self.upper[j])
+        x = [self.lower[j] if self.status[j] == _AT_LOWER else self.upper[j]
+             for j in range(n)]
+        for r, bj in enumerate(self.basis):
+            if bj < n:
+                x[bj] = self.beta[r]
         return x
+
+    def stats(self, phase1_pivots):
+        return {"phase1_pivots": phase1_pivots,
+                "phase2_pivots": self.pivots - phase1_pivots,
+                "bound_flips": self.bound_flips}
+
+    def column(self, j):
+        """Nonzeros of column j as (row, entry) pairs in row order."""
+        return [(r, v) for r, row in enumerate(self.rows)
+                if (v := row.get(j)) is not None]
+
+    def pivot(self, r, j, col):
+        """Make x_j basic in row r, given column j's nonzeros `col`: scale
+        row r to 1 at column j and eliminate column j from the other rows.
+        Basic values are the caller's. Returns the scaled row."""
+        rows = self.rows
+        piv = rows[r][j]
+        if piv == 1:
+            prow = rows[r]
+        elif piv == -1:
+            prow = {k: -v for k, v in rows[r].items()}
+        else:
+            prow = {k: _div(v, piv) for k, v in rows[r].items()}
+        rows[r] = prow
+        for i, f in col:
+            if i == r:
+                continue
+            row = rows[i]
+            for k, v in prow.items():
+                w = row.get(k, 0) - f * v
+                if not w:
+                    del row[k]
+                elif type(w) is int:
+                    row[k] = w
+                else:
+                    row[k] = _exact(w)
+        leaving = self.basis[r]
+        self.basis[r] = j
+        self.status[j] = None
+        self.pivots += 1
+        return leaving, prow
 
     def minimize(self, cost):
         """Run Bland-rule simplex on the current basis; returns 'Optimal' or
         'Unbounded'."""
-        m = len(self.basis)
-        width = len(cost)
-        basic_set = set(self.basis)
+        rows, basis, beta = self.rows, self.basis, self.beta
+        lower, upper, status = self.lower, self.upper, self.status
+        # reduced costs d = cost - c_B B^{-1} [A | I], kept current below
+        d = list(cost)
+        for r, row in enumerate(rows):
+            cr = cost[basis[r]]
+            if cr:
+                for k, v in row.items():
+                    d[k] = _exact(d[k] - cr * v)
+        # a fixed variable can never improve
+        movable = [up is None or lo != up for lo, up in zip(lower, upper)]
         while True:
-            cb = [cost[self.basis[r]] for r in range(m)]
-            entering = None
-            direction = None
-            for j in range(width):
-                if j in basic_set:
-                    continue
-                lo, up = self.lower[j], self.upper[j]
-                if up is not None and lo == up:
-                    continue  # fixed variable can never improve
-                d = cost[j] - sum(cb[r] * self.T[r][j] for r in range(m))
-                if self.status[j] == _AT_LOWER and d < 0:
-                    entering, direction = j, 1
-                    break
-                if self.status[j] == _AT_UPPER and d > 0:
-                    entering, direction = j, -1
-                    break
-            if entering is None:
+            # Bland: the lowest-index improving column enters
+            for j, dj in enumerate(d):
+                if dj and movable[j]:
+                    if dj < 0 and status[j] == _AT_LOWER:
+                        direction = 1
+                        break
+                    if dj > 0 and status[j] == _AT_UPPER:
+                        direction = -1
+                        break
+            else:
                 return "Optimal"
-            j = entering
-            # ratio test: how far can x_j move in `direction`
+            col = self.column(j)
+            # ratio test: how far can x_j move in `direction`; ties go to
+            # the lowest-index leaving variable
             best_t = None
             leave_row = None
             leave_bound = None
-            for r in range(m):
-                coef = self.T[r][j] * direction
-                bv = self.basis[r]
-                if coef > 0:
-                    t = (self.beta[r] - self.lower[bv]) / coef
+            for r, v in col:
+                bv = basis[r]
+                if (v > 0) == (direction == 1):
+                    t = _div(beta[r] - lower[bv], abs(v))
                     bound = _AT_LOWER
-                elif coef < 0:
-                    if self.upper[bv] is None:
-                        continue
-                    t = (self.upper[bv] - self.beta[r]) / (-coef)
-                    bound = _AT_UPPER
-                else:
+                elif upper[bv] is None:
                     continue
+                else:
+                    t = _div(upper[bv] - beta[r], abs(v))
+                    bound = _AT_UPPER
                 if (best_t is None or t < best_t
-                        or (t == best_t and bv < self.basis[leave_row])):
+                        or (t == best_t and bv < basis[leave_row])):
                     best_t, leave_row, leave_bound = t, r, bound
             flip_t = None
-            if self.upper[j] is not None:
-                flip_t = self.upper[j] - self.lower[j]
+            if upper[j] is not None:
+                flip_t = upper[j] - lower[j]
             if best_t is None and flip_t is None:
                 return "Unbounded"
             if flip_t is not None and (best_t is None or flip_t < best_t):
-                # bound flip, no basis change
-                t = flip_t
-                for r in range(m):
-                    self.beta[r] -= t * self.T[r][j] * direction
-                self.status[j] = _AT_UPPER if direction == 1 else _AT_LOWER
+                # bound flip, no basis change, reduced costs unchanged
+                step = flip_t * direction
+                for r, v in col:
+                    beta[r] = _exact(beta[r] - step * v)
+                status[j] = _AT_UPPER if direction == 1 else _AT_LOWER
+                self.bound_flips += 1
                 continue
-            t = best_t
             r = leave_row
-            leaving = self.basis[r]
-            # update basic values, then pivot
-            for i in range(m):
+            step = best_t * direction
+            for i, v in col:
                 if i != r:
-                    self.beta[i] -= t * self.T[i][j] * direction
-            start = self.lower[j] if direction == 1 else self.upper[j]
-            self.beta[r] = start + t * direction
-            piv = self.T[r][j]
-            self.T[r] = [e / piv for e in self.T[r]]
-            for i in range(m):
-                if i != r and self.T[i][j] != 0:
-                    f = self.T[i][j]
-                    row_r = self.T[r]
-                    self.T[i] = [a - f * bb for a, bb in zip(self.T[i], row_r)]
-            self.basis[r] = j
-            basic_set.discard(leaving)
-            basic_set.add(j)
-            self.status[leaving] = leave_bound
-            del self.status[j]
+                    beta[i] = _exact(beta[i] - step * v)
+            start = lower[j] if direction == 1 else upper[j]
+            beta[r] = _exact(start + step)
+            leaving, prow = self.pivot(r, j, col)
+            status[leaving] = leave_bound
+            dj = d[j]
+            for k, v in prow.items():
+                d[k] = _exact(d[k] - dj * v)
 
 
 def simplex_solve(lp: LinearProgram) -> LPSolution:
     """Two-phase exact simplex; every Optimal result is a vertex with
-    A x = b satisfied exactly."""
+    A x = b satisfied exactly. `stats` counts the pivots of each phase
+    (phase 1 includes driving leftover artificials out of the basis) and
+    the bound flips of both."""
     m, n = lp.num_constraints, lp.num_vars
-    lower = list(lp.lower) + [Fraction(0)] * m
-    upper = list(lp.upper) + [None] * m
+    A = [{j: _exact(a) for j, a in enumerate(row) if a} for row in lp.A]
+    lower = [_exact(v) for v in lp.lower] + [0] * m
+    upper = [None if v is None else _exact(v) for v in lp.upper] + [None] * m
     # start nonbasic at lower bounds; artificials absorb the residual
-    x0 = list(lp.lower)
-    resid = [lp.b[i] - sum(lp.A[i][j] * x0[j] for j in range(n))
-             for i in range(m)]
-    T = []
-    for i in range(m):
+    resid = [_exact(lp.b[i] - sum(a * lower[j] for j, a in row.items()))
+             for i, row in enumerate(A)]
+    rows = []
+    for i, row in enumerate(A):
         s = 1 if resid[i] >= 0 else -1
-        row = [s * lp.A[i][j] for j in range(n)]
-        row += [s if k == i else Fraction(0) for k in range(m)]
-        T.append([Fraction(e) for e in row])
+        tr = row.copy() if s == 1 else {j: -a for j, a in row.items()}
+        tr[n + i] = s
+        rows.append(tr)
     beta = [abs(r) for r in resid]
     basis = [n + i for i in range(m)]
-    status = {j: _AT_LOWER for j in range(n)}
-    tab = _Tableau(lp.A, lower, upper, basis, T, beta, status)
+    status = [_AT_LOWER] * n + [None] * m
+    tab = _Tableau(lower, upper, basis, rows, beta, status)
 
-    phase1_cost = [Fraction(0)] * n + [Fraction(1)] * m
+    phase1_cost = [0] * n + [1] * m
     tab.minimize(phase1_cost)
     infeas = sum(tab.beta[r] for r in range(m) if tab.basis[r] >= n)
     if infeas > 0:
-        return LPSolution(status="Infeasible")
+        return LPSolution(status="Infeasible", stats=tab.stats(tab.pivots))
     # drive leftover artificials out of the basis where possible, then pin
-    # them to zero so phase 2 cannot move them
+    # them to zero so phase 2 cannot move them; the lowest-index column
+    # with a nonzero in the row enters at its current value
     for r in range(m):
         if tab.basis[r] >= n:
-            for j in range(n):
-                if j not in set(tab.basis) and tab.T[r][j] != 0:
-                    piv = tab.T[r][j]
-                    leaving = tab.basis[r]
-                    tab.T[r] = [e / piv for e in tab.T[r]]
-                    for i in range(m):
-                        if i != r and tab.T[i][j] != 0:
-                            f = tab.T[i][j]
-                            tab.T[i] = [a - f * bb
-                                        for a, bb in zip(tab.T[i], tab.T[r])]
-                    val = tab.lower[j] if tab.status[j] == _AT_LOWER else tab.upper[j]
-                    tab.basis[r] = j
-                    tab.beta[r] = val
-                    tab.status[leaving] = _AT_LOWER
-                    del tab.status[j]
-                    break
+            j = min((k for k in tab.rows[r] if k < n), default=None)
+            if j is not None:
+                val = lower[j] if status[j] == _AT_LOWER else upper[j]
+                leaving, _ = tab.pivot(r, j, tab.column(j))
+                tab.beta[r] = val
+                status[leaving] = _AT_LOWER
     for k in range(n, n + m):
-        tab.upper[k] = Fraction(0)
+        upper[k] = 0
+    phase1_pivots = tab.pivots
 
-    phase2_cost = list(lp.objective) + [Fraction(0)] * m
+    # phase 2 prices with the objective times the lcm of its denominators:
+    # a positive factor changes no sign, so no pivot changes, and the
+    # reduced costs stay integers wherever the tableau does
+    scale = math.lcm(*(v.denominator for v in lp.objective))
+    phase2_cost = [_exact(v * scale) for v in lp.objective] + [0] * m
     outcome = tab.minimize(phase2_cost)
+    stats = tab.stats(phase1_pivots)
     if outcome == "Unbounded":
-        return LPSolution(status="Unbounded")
+        return LPSolution(status="Unbounded", stats=stats)
     x = tab.point(n)
     # exactness check, zero tolerance
-    for i in range(m):
-        lhs = sum(lp.A[i][j] * x[j] for j in range(n))
-        if lhs != lp.b[i]:
+    for row, rhs in zip(A, lp.b):
+        if sum(a * x[j] for j, a in row.items()) != rhs:
             raise AssertionError("simplex returned a point with A x != b")
-    obj = sum(lp.objective[j] * x[j] for j in range(n))
-    return LPSolution(status="Optimal", x=x, objective=obj,
-                      basis=sorted(bj for bj in tab.basis if bj < n))
+    obj = Fraction(sum(lp.objective[j] * v for j, v in enumerate(x) if v))
+    return LPSolution(status="Optimal", x=[Fraction(v) for v in x],
+                      objective=obj,
+                      basis=sorted(bj for bj in tab.basis if bj < n),
+                      stats=stats)
 
 
 def verify_vertex_integrality(sol: LPSolution, a_is_tu: bool = False,

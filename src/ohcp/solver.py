@@ -191,8 +191,10 @@ def brute_force_oracle(inst: OHCPInstance, y_bound: int,
     """Exhaustive oracle: try every y in [-y_bound, y_bound]^n.
 
     Independent of the simplex path; enumeration is vectorized with exact
-    integer arithmetic (weights are cleared of denominators first). Ties
-    are broken by the lexicographically smallest y.
+    integer arithmetic (weights are cleared of denominators first): int64
+    when a bound on every |x_i| and objective value fits, else Python ints
+    (dtype=object), so nothing wraps around. Ties are broken by the
+    lexicographically smallest y.
     """
     m, n = inst.m, inst.n
     if y_bound < 0:
@@ -200,32 +202,37 @@ def brute_force_oracle(inst: OHCPInstance, y_bound: int,
     count = (2 * y_bound + 1) ** n
     if count > budget:
         raise BudgetExceeded(f"{count} candidates exceed budget {budget}")
-    c = np.array(inst.c, dtype=np.int64)
-    if n:
-        Bm = np.array(inst.boundary().data, dtype=np.int64)
-        rng = np.arange(-y_bound, y_bound + 1, dtype=np.int64)
-        grids = np.meshgrid(*([rng] * n), indexing="ij")
-        ys = np.stack([g.ravel() for g in grids], axis=1)  # lex order
-        xs = c[None, :] + ys @ Bm.T
-    else:
-        ys = np.zeros((1, 0), dtype=np.int64)
-        xs = c[None, :]
     dens = [w.denominator for w in inst.weights]
     if inst.variant == "TotalWeight":
         dens += [v.denominator for v in inst.y_weights]
     scale = math.lcm(*dens) if dens else 1
-    w_int = np.array([abs(int(w * scale)) for w in inst.weights],
-                     dtype=np.int64)
-    obj = np.abs(xs) @ w_int
+    w_int = [abs(int(w * scale)) for w in inst.weights]
+    v_int = ([abs(int(v * scale)) for v in inst.y_weights]
+             if inst.variant == "TotalWeight" else [])
+    B = inst.boundary().data if n else []
+    row_abs = [sum(abs(e) for e in row) for row in B] if n else [0] * m
+    x_max = [abs(ci) + y_bound * r for ci, r in zip(inst.c, row_abs)]
+    bound = (sum(w * x for w, x in zip(w_int, x_max))
+             + y_bound * sum(v_int) + max(x_max, default=0))
+    dtype = np.int64 if bound < np.iinfo(np.int64).max else object
+    c = np.array(inst.c, dtype=dtype)
+    if n:
+        Bm = np.array(B, dtype=dtype)
+        rng = np.arange(-y_bound, y_bound + 1).astype(dtype)
+        grids = np.meshgrid(*([rng] * n), indexing="ij")
+        ys = np.stack([g.ravel() for g in grids], axis=1)  # lex order
+        xs = c[None, :] + ys @ Bm.T
+    else:
+        ys = np.zeros((1, 0), dtype=dtype)
+        xs = c[None, :]
+    obj = np.abs(xs) @ np.array(w_int, dtype=dtype)
     if inst.variant == "TotalWeight":
-        v_int = np.array([abs(int(v * scale)) for v in inst.y_weights],
-                         dtype=np.int64)
-        obj = obj + np.abs(ys) @ v_int
+        obj = obj + np.abs(ys) @ np.array(v_int, dtype=dtype)
     if inst.variant == "L0Box":
         ok = (np.abs(xs) <= 1).all(axis=1)
         if not ok.any():
             raise AssertionError("no {-1,0,1} chain found; y_bound too small")
-        obj = np.where(ok, obj, np.iinfo(np.int64).max)
+        obj = np.where(ok, obj, bound + 1)
     best = int(np.argmin(obj))
     x = [int(v) for v in xs[best]]
     y = [int(v) for v in ys[best]]

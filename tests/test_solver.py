@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ohcp import fixtures
+from ohcp.complexes import build_closure
 from ohcp.solver import (OHCPInstance, assemble, assemble_l0, assemble_l1,
                          assemble_total, brute_force_oracle,
                          chain_from_solution, existence_check, solve)
@@ -167,6 +168,23 @@ class TestOracle:
         assert sol.integral
         assert all(v in (-1, 0, 1) for v in sol.x_star)
         assert sol.objective == oracle.objective
+
+    def test_huge_weights_do_not_wrap_around(self):
+        # 3 * 2**62 exceeds int64; the oracle must match the exact solve
+        K = build_closure([(0, 1, 2)])
+        inst = l1_instance(K, [3, 0, 0], weights=[2 ** 62] * 3)
+        sol = solve(inst)
+        oracle = brute_force_oracle(inst, y_bound=3)
+        assert sol.objective == oracle.objective == 3 * 2 ** 62
+        assert oracle.x_star == sol.x_star == [3, 0, 0]
+
+    def test_huge_y_weights_do_not_overflow(self):
+        K = build_closure([(0, 1, 2)])
+        total = l1_instance(K, [1, -1, 1], weights=[2 ** 62] * 3,
+                            variant="TotalWeight", y_weights=[2 ** 63])
+        # killing c with y = 1 (cost 2**63) beats keeping it (3 * 2**62)
+        assert brute_force_oracle(total, y_bound=3).objective \
+            == solve(total).objective == 2 ** 63
 
 
 class TestHourglass:
