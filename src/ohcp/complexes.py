@@ -69,6 +69,7 @@ class SimplicialComplex:
         self.index = [
             {s: i for i, s in enumerate(level)} for level in self.simplices_by_dim
         ]
+        self._boundary = {}     # q -> boundary_columns(q)
 
     @property
     def dim(self) -> int:
@@ -87,6 +88,20 @@ class SimplicialComplex:
             return self.index[q][tuple(vertices)]
         except (KeyError, IndexError):
             raise InputError(f"simplex {tuple(vertices)} not in complex") from None
+
+    def boundary_columns(self, q):
+        """The boundary from q-chains to (q-1)-chains as sparse columns,
+        built once per q and shared: column j is {row: +-1} for the j-th
+        q-simplex, rows ascending. Callers must not modify it."""
+        if not 1 <= q <= self.dim:
+            raise InputError(f"dimension {q} out of range 1..{self.dim}")
+        cols = self._boundary.get(q)
+        if cols is None:
+            cols = [dict(sorted((self.index_of(q - 1, face), sign)
+                                for face, sign in Simplex(verts).faces()))
+                    for verts in self.simplices_by_dim[q]]
+            self._boundary[q] = cols
+        return cols
 
     def __contains__(self, vertices):
         verts = tuple(sorted(vertices))
@@ -163,16 +178,25 @@ def boundary_matrix(K: SimplicialComplex, q: int) -> IntMatrix:
     """Matrix of the boundary operator from q-chains to (q-1)-chains.
 
     Column j holds the coefficients of the boundary of the j-th canonical
-    q-simplex in the (q-1) basis.
+    q-simplex in the (q-1) basis: a dense copy of K.boundary_columns(q).
     """
-    if not 1 <= q <= K.dim:
-        raise InputError(f"dimension {q} out of range 1..{K.dim}")
-    m = K.count(q - 1)
-    n = K.count(q)
-    data = [[0] * n for _ in range(m)]
-    for j, verts in enumerate(K.simplices(q)):
-        for face, sign in Simplex(verts).faces():
-            data[K.index_of(q - 1, face)][j] = sign
+    cols = K.boundary_columns(q)
+    data = [[0] * len(cols) for _ in range(K.count(q - 1))]
+    for j, col in enumerate(cols):
+        for i, sign in col.items():
+            data[i][j] = sign
+    return IntMatrix(data)
+
+
+def boundary_submatrix(K: SimplicialComplex, q: int, rows, cols) -> IntMatrix:
+    """Dense submatrix of the q-boundary on `rows` x `cols`, in that order."""
+    B = K.boundary_columns(q)
+    at = {i: a for a, i in enumerate(rows)}
+    data = [[0] * len(cols) for _ in at]
+    for b, j in enumerate(cols):
+        for i, sign in B[j].items():
+            if i in at:
+                data[at[i]][b] = sign
     return IntMatrix(data)
 
 
@@ -181,8 +205,11 @@ def boundary_of_chain(K: SimplicialComplex, c: Chain) -> Chain:
         raise InputError("boundary of a chain of dimension < 1")
     if c.dim > K.dim:
         raise InputError(f"chain dimension {c.dim} exceeds complex dimension {K.dim}")
-    B = boundary_matrix(K, c.dim)
-    vec = B.matvec(c.to_vector(K.count(c.dim)))
+    B = K.boundary_columns(c.dim)
+    vec = [0] * K.count(c.dim - 1)
+    for j, x in enumerate(c.to_vector(K.count(c.dim))):
+        for i, sign in B[j].items():
+            vec[i] += sign * x
     return Chain.from_vector(c.dim - 1, vec)
 
 
@@ -193,31 +220,25 @@ def relative_boundary_matrix(K: SimplicialComplex, p: int, L_cols, L0_rows):
     Rows in L0 and rows that are zero on the chosen columns are dropped.
     Returns (matrix, kept_row_indices, col_indices).
     """
-    B = boundary_matrix(K, p + 1)
+    B = K.boundary_columns(p + 1)
     cols = sorted(set(L_cols))
     rows0 = set(L0_rows)
     for j in cols:
-        if not 0 <= j < B.n:
+        if not 0 <= j < len(B):
             raise InputError(f"column index {j} out of range")
     for i in rows0:
-        if not 0 <= i < B.m:
+        if not 0 <= i < K.count(p):
             raise InputError(f"row index {i} out of range")
-    kept = []
-    for i in range(B.m):
-        if i in rows0:
-            continue
-        if all(B[i, j] == 0 for j in cols):
-            continue
-        kept.append(i)
-    return B.submatrix(kept, cols), kept, cols
+    kept = sorted({i for j in cols for i in B[j]} - rows0)
+    return boundary_submatrix(K, p + 1, kept, cols), kept, cols
 
 
 def coface_map(K: SimplicialComplex, q: int):
     """For each (q-1)-simplex index, the list of q-simplex indices having it as a face."""
     cof = [[] for _ in range(K.count(q - 1))]
-    for j, verts in enumerate(K.simplices(q)):
-        for face, _ in Simplex(verts).faces():
-            cof[K.index_of(q - 1, face)].append(j)
+    for j, col in enumerate(K.boundary_columns(q)):
+        for i in col:
+            cof[i].append(j)
     return cof
 
 
@@ -227,9 +248,7 @@ def orient_consistently(K: SimplicialComplex, q: int):
     Requires every (q-1)-simplex to be a face of at most two q-simplices;
     otherwise NotPseudomanifold is raised.
     """
-    if not 1 <= q <= K.dim:
-        raise InputError(f"dimension {q} out of range 1..{K.dim}")
-    B = boundary_matrix(K, q)
+    B = K.boundary_columns(q)
     cof = coface_map(K, q)
     for i, js in enumerate(cof):
         if len(js) > 2:
@@ -244,11 +263,11 @@ def orient_consistently(K: SimplicialComplex, q: int):
         queue = [start]
         while queue:
             j = queue.pop()
-            for i in range(B.m):
-                if B[i, j] == 0 or len(cof[i]) != 2:
+            for i, sign in B[j].items():
+                if len(cof[i]) != 2:
                     continue
                 other = cof[i][0] if cof[i][1] == j else cof[i][1]
-                want = -signs[j] * B[i, j] * B[i, other]
+                want = -signs[j] * sign * B[other][i]
                 if signs[other] == 0:
                     signs[other] = want
                     queue.append(other)

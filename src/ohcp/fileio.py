@@ -22,13 +22,16 @@ def _content_lines(text):
             yield lineno, line
 
 
+def _ints(toks, lineno, what):
+    try:
+        return [int(t) for t in toks]
+    except ValueError:
+        raise InputError(f"line {lineno}: expected integer {what}") from None
+
+
 def parse_complex(text: str) -> SimplicialComplex:
-    maximal = []
-    for lineno, line in _content_lines(text):
-        try:
-            maximal.append([int(t) for t in line.split()])
-        except ValueError:
-            raise InputError(f"line {lineno}: expected integer vertex ids") from None
+    maximal = [_ints(line.split(), lineno, "vertex ids")
+               for lineno, line in _content_lines(text)]
     return build_closure(maximal)
 
 
@@ -54,7 +57,7 @@ def parse_chain(text: str, K: SimplicialComplex, p: int) -> Chain:
             coeff = int(toks[0])
         except ValueError:
             raise InputError(f"line {lineno}: non-integer coefficient {toks[0]!r}") from None
-        s = Simplex.from_vertices(int(t) for t in toks[1:])
+        s = Simplex.from_vertices(_ints(toks[1:], lineno, "vertex ids"))
         idx = K.index_of(p, s.vertices)
         coeffs[idx] = coeffs.get(idx, 0) + coeff * s.sign
     return Chain(p, coeffs)
@@ -81,7 +84,7 @@ def parse_weights(text: str, K: SimplicialComplex, p: int):
         toks = line.split()
         if len(toks) != p + 2:
             raise InputError(f"line {lineno}: expected weight and {p + 1} vertices")
-        s = Simplex.from_vertices(int(t) for t in toks[1:])
+        s = Simplex.from_vertices(_ints(toks[1:], lineno, "vertex ids"))
         weights[K.index_of(p, s.vertices)] = _parse_rational(toks[0])
     return weights
 
@@ -93,7 +96,7 @@ def parse_coordinates(text: str):
         toks = line.split()
         if len(toks) < 2:
             raise InputError(f"line {lineno}: expected vertex id and coordinates")
-        vid = int(toks[0])
+        vid = _ints(toks[:1], lineno, "vertex id")[0]
         pt = [_parse_rational(t) for t in toks[1:]]
         if dim is None:
             dim = len(pt)
@@ -110,12 +113,12 @@ def parse_matrix(text: str) -> IntMatrix:
     header = lines[0][1].split()
     if len(header) != 2:
         raise InputError("matrix header must be 'm n'")
-    m, n = int(header[0]), int(header[1])
+    m, n = _ints(header, lines[0][0], "matrix header 'm n'")
     if len(lines) != m + 1:
         raise InputError(f"expected {m} matrix rows, got {len(lines) - 1}")
     rows = []
     for lineno, line in lines[1:]:
-        row = [int(t) for t in line.split()]
+        row = _ints(line.split(), lineno, "matrix entries")
         if len(row) != n:
             raise InputError(f"line {lineno}: expected {n} entries")
         rows.append(row)

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from .complexes import InputError, SimplicialComplex
-from .matrices import IntMatrix
+from .matrices import det_bareiss
 
 DEFAULT_DENOMINATOR = 10 ** 9
 
@@ -39,9 +39,8 @@ def squared_volume(points) -> Fraction:
             cm[i + 1][j + 1] = sum((a - b) ** 2 for a, b in zip(pts[i], pts[j]))
     # fraction-free determinant after clearing denominators
     den = math.lcm(*[e.denominator for row in cm for e in row])
-    scaled = IntMatrix([[int(e * den) for e in row] for row in cm])
-    from .matrices import det_int
-    det = Fraction(det_int(scaled), den ** size)
+    det = Fraction(det_bareiss([[int(e * den) for e in row] for row in cm]),
+                   den ** size)
     return det * (-1) ** (p + 1) / (2 ** p * math.factorial(p) ** 2)
 
 

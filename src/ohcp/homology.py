@@ -3,16 +3,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, boundary_matrix, relative_boundary_matrix
-from .matrices import IntMatrix, det_int, rank_int
+from .complexes import (SimplicialComplex, boundary_matrix, boundary_submatrix,
+                        relative_boundary_matrix)
+from .matrices import IntMatrix, det_int, rank_int, smith_diagonal
 
 
 @dataclass
 class SNFResult:
     diagonal: list          # d_1..d_l, each >= 1, d_i | d_{i+1}
     rank: int
-    U: IntMatrix | None = None  # unimodular, U M V = diag
-    V: IntMatrix | None = None
 
 
 @dataclass
@@ -29,118 +28,10 @@ class TorsionWitness:
     torsion_coefficient: int
 
 
-def _pivot(a, t, m, n):
-    """Position of a nonzero entry of smallest magnitude in a[t:, t:]."""
-    best = None
-    for i in range(t, m):
-        for j in range(t, n):
-            v = abs(a[i][j])
-            if v and (best is None or v < best[0]):
-                best = (v, i, j)
-                if v == 1:
-                    return i, j
-    return None if best is None else (best[1], best[2])
-
-
-def smith_normal_form(M: IntMatrix, want_transforms: bool = False) -> SNFResult:
-    """Diagonalize M by unimodular row/column operations.
-
-    Pivots are chosen with smallest magnitude first to limit coefficient
-    growth; Python ints make any pivot order correct.
-    """
-    m, n = M.m, M.n
-    a = [row[:] for row in M.data]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if want_transforms else None
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_transforms else None
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, f):
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        if U is not None:
-            U[dst] = [x + f * y for x, y in zip(U[dst], U[src])]
-
-    def add_col(dst, src, f):
-        for row in a:
-            row[dst] += f * row[src]
-        if V is not None:
-            for row in V:
-                row[dst] += f * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
-
-    t = 0
-    while t < min(m, n):
-        pos = _pivot(a, t, m, n)
-        if pos is None:
-            break
-        pi, pj = pos
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        d = a[t][t]
-        # if the pivot does not divide its row/column, reduce one offender
-        # and restart; the remainder left behind is a strictly smaller
-        # candidate pivot, so these restarts terminate
-        restart = False
-        for i in range(t + 1, m):
-            if a[i][t] % d != 0:
-                add_row(i, t, -(a[i][t] // d))
-                restart = True
-                break
-        if restart:
-            continue
-        for j in range(t + 1, n):
-            if a[t][j] % d != 0:
-                add_col(j, t, -(a[t][j] // d))
-                restart = True
-                break
-        if restart:
-            continue
-        # exact clearing (all quotients divide evenly now)
-        for i in range(t + 1, m):
-            if a[i][t] != 0:
-                add_row(i, t, -(a[i][t] // d))
-        for j in range(t + 1, n):
-            if a[t][j] != 0:
-                add_col(j, t, -(a[t][j] // d))
-        # divisibility: pull any non-divisible trailing entry into row t,
-        # which the restart branch then shrinks the pivot against
-        fixed = False
-        for i in range(t + 1, m):
-            if fixed:
-                break
-            for j in range(t + 1, n):
-                if a[i][j] % d != 0:
-                    add_row(t, i, 1)
-                    fixed = True
-                    break
-        if fixed:
-            continue
-        if d < 0:
-            negate_row(t)
-        t += 1
-
-    diagonal = [a[i][i] for i in range(t)]
-    res = SNFResult(diagonal=diagonal, rank=t)
-    if want_transforms:
-        res.U = IntMatrix(U)
-        res.V = IntMatrix(V)
-    return res
+def smith_normal_form(M: IntMatrix) -> SNFResult:
+    """Smith normal form diagonal and rank of M (see matrices.smith_diagonal)."""
+    diagonal = smith_diagonal(M)
+    return SNFResult(diagonal=diagonal, rank=len(diagonal))
 
 
 def has_torsion(r: SNFResult) -> bool:
@@ -174,18 +65,16 @@ def torsion_witness_from_submatrix(K: SimplicialComplex, p: int, rows, cols) -> 
     L is spanned by the (p+1)-simplices of `cols`; L0 consists of the
     p-faces of L that are not in `rows`.
     """
-    B = boundary_matrix(K, p + 1)
-    S = B.submatrix(sorted(rows), sorted(cols))
+    rows, cols = sorted(rows), sorted(cols)
+    S = boundary_submatrix(K, p + 1, rows, cols)
     if S.m != S.n:
         raise ValueError("witness submatrix must be square")
     d = det_int(S)
     if abs(d) <= 1:
         raise ValueError(f"submatrix determinant {d} certifies nothing")
-    cols = sorted(cols)
-    row_set = set(rows)
     # rows of the column-restricted matrix that are nonzero but excluded
-    L0 = [i for i in range(B.m)
-          if i not in row_set and any(B[i, j] != 0 for j in cols)]
+    B = K.boundary_columns(p + 1)
+    L0 = sorted({i for j in cols for i in B[j]}.difference(rows))
     rel, kept, _ = relative_boundary_matrix(K, p, cols, L0)
     snf = smith_normal_form(rel)
     tors = torsion_coefficients(snf)

@@ -12,11 +12,10 @@ Three routes are implemented and cross-checked by the test suite:
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .complexes import (NotPseudomanifold, SimplicialComplex, boundary_matrix,
-                        coface_map, orient_consistently)
+                        boundary_submatrix, coface_map, orient_consistently)
 from .matrices import IntMatrix, det_int
 
 
@@ -275,13 +274,13 @@ def classify_cycle_matrix(C: IntMatrix):
 
 def _cycle_orientable(K: SimplicialComplex, q, cycle, faces) -> bool:
     """Propagate orientation signs around a cycle complex."""
-    B = boundary_matrix(K, q)
+    B = K.boundary_columns(q)
     sign = 1
     k = len(cycle)
     for i in range(k):
         f = faces[(i + 1) % k]     # face shared by cycle[i] and cycle[i+1]
         nxt = cycle[(i + 1) % k]
-        sign_next = -sign * B[f, cycle[i]] * B[f, nxt]
+        sign_next = -sign * B[cycle[i]][f] * B[nxt][f]
         if (i + 1) % k == 0:
             return sign_next == 1
         sign = sign_next
@@ -301,71 +300,91 @@ def find_mobius_subcomplex(K: SimplicialComplex, q: int,
     each cycle is visited once; `budget` caps the number of extended path
     nodes and overrunning it raises BudgetExceeded.
 
+    The DFS keeps its own stack, so path length is not bounded by the
+    recursion limit, and it counts for each (q-1)-face the inner path
+    members (all but the first and the last) having it, so testing a
+    candidate touches only its q+1 faces.
+
     With want_orientable=True returns the first orientable cycle complex
     instead (used by tests to confirm cylinders are found).
     """
     if not 1 <= q <= K.dim:
         raise ValueError(f"dimension {q} out of range 1..{K.dim}")
-    simps = [set(v) for v in K.simplices(q)]
-    n = len(simps)
-    # adjacency: intersection is exactly one (q-1)-face
+    B = K.boundary_columns(q)
+    n = len(B)
+    # adjacency: simplices sharing a (q-1)-face, paired through its cofaces
     shared = {}
-    for a, b in itertools.combinations(range(n), 2):
-        inter = simps[a] & simps[b]
-        if len(inter) == q:
-            shared[(a, b)] = K.index_of(q - 1, sorted(inter))
     adj = [[] for _ in range(n)]
-    for (a, b) in shared:
-        adj[a].append(b)
-        adj[b].append(a)
+    cofaces = [[] for _ in range(K.count(q - 1))]
+    for b, col in enumerate(B):
+        for f in col:
+            for a in cofaces[f]:
+                shared[a, b] = f
+                adj[a].append(b)
+                adj[b].append(a)
+            cofaces[f].append(b)
     for nbrs in adj:
         nbrs.sort()
 
+    on_path = [False] * n
+    inner = [0] * len(cofaces)  # path members, bar first and last, per face
     nodes = 0
 
     def face_of(a, b):
         return shared[(a, b) if a < b else (b, a)]
 
-    def extend(path):
-        nonlocal nodes
-        head = path[0]
-        tail = path[-1]
-        for nxt in adj[tail]:
+    for head in range(n):
+        at_head = B[head]
+        on_path[head] = True
+        path = [head]
+        todo = [0]      # todo[d]: position in adj[path[d]] of the next try
+        while todo:
+            tail = path[-1]
+            k = todo[-1]
+            if k == len(adj[tail]):
+                todo.pop()
+                on_path[path.pop()] = False
+                if len(path) > 1:       # the new tail is no longer inner
+                    for f in B[path[-1]]:
+                        inner[f] -= 1
+                continue
+            todo[-1] = k + 1
+            nxt = adj[tail][k]
             if nxt <= head:
                 continue  # canonical start: smallest index first
-            if nxt in path:
+            if on_path[nxt]:
                 continue
-            sv = simps[nxt]
             # no shared (q-1)-face with any non-consecutive path member
-            if any(len(sv & simps[p]) == q for p in path[1:-1]):
+            blocked = closes = False
+            for f in B[nxt]:
+                if inner[f]:
+                    blocked = True
+                    break
+                if f in at_head:
+                    closes = True
+            if blocked:
                 continue
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"cycle search exceeded budget {budget}")
-            new_path = path + [nxt]
-            closes = len(sv & simps[head]) == q
-            if closes and len(new_path) >= 3:
-                # canonical direction: second element smaller than last
-                if new_path[1] < new_path[-1]:
-                    cycle = new_path
-                    faces = [face_of(cycle[i - 1], cycle[i])
-                             for i in range(len(cycle))]
-                    if len(set(faces)) == len(faces):
-                        orientable = _cycle_orientable(K, q, cycle, faces)
-                        if orientable == want_orientable:
-                            return CycleComplexWitness(q=q, simplices=cycle,
-                                                       shared_faces=faces,
-                                                       orientable=orientable)
+            # canonical direction: second element smaller than last
+            if closes and len(path) > 1 and path[1] < nxt:
+                cycle = path + [nxt]
+                faces = [face_of(cycle[i - 1], cycle[i])
+                         for i in range(len(cycle))]
+                if len(set(faces)) == len(faces):
+                    orientable = _cycle_orientable(K, q, cycle, faces)
+                    if orientable == want_orientable:
+                        return CycleComplexWitness(q=q, simplices=cycle,
+                                                   shared_faces=faces,
+                                                   orientable=orientable)
             if not closes or len(path) == 1:
-                found = extend(new_path)
-                if found is not None:
-                    return found
-        return None
-
-    for start in range(n):
-        found = extend([start])
-        if found is not None:
-            return found
+                if len(path) > 1:       # the old tail becomes inner
+                    for f in B[tail]:
+                        inner[f] += 1
+                on_path[nxt] = True
+                path.append(nxt)
+                todo.append(0)
     return None
 
 
@@ -373,8 +392,7 @@ def mcm_witness_from_cycle(K: SimplicialComplex, w: CycleComplexWitness):
     """Rows/cols of the boundary matrix carved out by a Moebius complex."""
     rows = sorted(w.shared_faces)
     cols = sorted(w.simplices)
-    B = boundary_matrix(K, w.q)
-    d = det_int(B.submatrix(rows, cols))
+    d = det_int(boundary_submatrix(K, w.q, rows, cols))
     return rows, cols, d
 
 

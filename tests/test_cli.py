@@ -118,6 +118,13 @@ class TestSolvePipeline:
         assert code == 4
         assert "error" in err
 
+    def test_non_integer_matrix_header_exit_code(self, paths, capsys):
+        bad = paths["tmp"] / "bad.mat"
+        bad.write_text("3 x\n")
+        code, _, err = run(capsys, "snf", "--matrix", bad)
+        assert code == 4
+        assert "error" in err
+
     def test_missing_file_exit_code(self, paths, capsys):
         code, _, _ = run(capsys, "homology", "--complex",
                          paths["tmp"] / "nope.scx", "--dim", "0")

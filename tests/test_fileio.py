@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ohcp import fileio, fixtures
 from ohcp.complexes import Chain, InputError
@@ -118,3 +120,44 @@ class TestMatrixFormat:
     def test_empty(self):
         with pytest.raises(InputError):
             fileio.parse_matrix("# nothing\n")
+
+
+PARSERS = {
+    "complex": fileio.parse_complex,
+    "chain": lambda t: fileio.parse_chain(t, fixtures.triangle(), 1),
+    "weights": lambda t: fileio.parse_weights(t, fixtures.triangle(), 1),
+    "coordinates": fileio.parse_coordinates,
+    "matrix": fileio.parse_matrix,
+}
+
+
+class TestNonIntegerTokens:
+    @pytest.mark.parametrize("name, text", [
+        ("matrix", "3 x\n"),
+        ("matrix", "1.5 2\n1 0\n"),
+        ("matrix", "1 2\n1 y\n"),
+        ("chain", "1 0 a\n"),
+        ("weights", "2 0 1.0\n"),
+        ("coordinates", "v 0 1\n"),
+    ])
+    def test_rejected_as_input_error(self, name, text):
+        with pytest.raises(InputError):
+            PARSERS[name](text)
+
+
+# the characters the formats use plus a few that they do not; no 'e', since
+# a decimal exponent makes Fraction build the full power of ten, and short
+# lines, since a complex line with k vertices closes to 2**k faces
+fuzz_text = st.text(alphabet="0123456789  -+/.#\n\tx\u00e9\u0663",
+                    max_size=40)
+
+
+class TestParserFuzz:
+    @pytest.mark.parametrize("name", sorted(PARSERS))
+    @settings(max_examples=300, deadline=None)
+    @given(text=fuzz_text)
+    def test_parses_or_raises_input_error(self, name, text):
+        try:
+            PARSERS[name](text)
+        except InputError:
+            pass

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ohcp import fixtures
-from ohcp.complexes import boundary_matrix
+from ohcp.complexes import boundary_matrix, build_closure
 from ohcp.matrices import IntMatrix, det_int
 from ohcp.tu import (Undecided, classify_cycle_matrix, cycle_matrix_det,
                      cycle_matrix_normal_form, find_mobius_subcomplex,
@@ -212,3 +212,14 @@ class TestVerdictCascade:
     def test_dimension_out_of_range(self):
         with pytest.raises(ValueError):
             tu_verdict(fixtures.triangle(), 2)
+
+    def test_long_moebius_strip(self):
+        # zigzag strip of triangles {i, i+1, i+2} mod n (n odd): the only
+        # cycle complex is the whole strip, so the search path and the
+        # witness are 1601 simplices long
+        n = 1601
+        K = build_closure([[i, (i + 1) % n, (i + 2) % n] for i in range(n)])
+        v = tu_verdict(K, 1)
+        assert v.status == "NotTU" and v.method == "mobius-search"
+        assert abs(v.witness_det) == 2
+        assert len(v.witness_cols) == n
