@@ -4,39 +4,9 @@ Solve min ||W x||_1 over integer p-chains x homologous to a given chain c,
 by exact-rational linear programming, and certify when the LP relaxation is
 guaranteed integral (totally unimodular boundary matrix / torsion-free
 relative homology).
+
+The package root re-exports nothing; import from the submodules
+(`ohcp.complexes`, `ohcp.solver`, `ohcp.tu`, ...).
 """
-from .complexes import (Chain, InputError, NotPseudomanifold, Simplex,
-                        SimplicialComplex, boundary_matrix, boundary_of_chain,
-                        build_closure, coface_map, orient_consistently,
-                        relative_boundary_matrix)
-from .geometry import rational_sqrt, squared_volume, weights_from_coordinates
-from .homology import (SNFResult, TorsionWitness, has_torsion,
-                       homology_summary, smith_normal_form,
-                       torsion_coefficients, torsion_witness_from_submatrix)
-from .lp import LinearProgram, LPSolution, simplex_solve, verify_vertex_integrality
-from .matrices import IntMatrix, det_int, rank_int
-from .solver import (OHCPInstance, OHCPSolution, assemble, brute_force_oracle,
-                     chain_from_solution, existence_check, solve)
-from .tu import (BudgetExceeded, CycleComplexWitness, CycleMatrixForm,
-                 TUVerdict, Undecided, classify_cycle_matrix, cycle_matrix_det,
-                 cycle_matrix_normal_form, find_mobius_subcomplex,
-                 heller_tompkins, is_tu_minor_enumeration, tu_verdict)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BudgetExceeded", "Chain", "CycleComplexWitness", "CycleMatrixForm",
-    "InputError", "IntMatrix", "LPSolution", "LinearProgram",
-    "NotPseudomanifold", "OHCPInstance", "OHCPSolution", "SNFResult",
-    "Simplex", "SimplicialComplex", "TUVerdict", "TorsionWitness",
-    "Undecided", "assemble", "boundary_matrix", "boundary_of_chain",
-    "brute_force_oracle", "build_closure", "chain_from_solution",
-    "classify_cycle_matrix", "coface_map", "cycle_matrix_det",
-    "cycle_matrix_normal_form", "det_int", "existence_check",
-    "find_mobius_subcomplex", "has_torsion", "heller_tompkins",
-    "homology_summary", "is_tu_minor_enumeration", "orient_consistently",
-    "rank_int", "rational_sqrt", "relative_boundary_matrix", "simplex_solve",
-    "smith_normal_form", "solve", "squared_volume", "torsion_coefficients",
-    "torsion_witness_from_submatrix", "tu_verdict",
-    "verify_vertex_integrality", "weights_from_coordinates",
-]

@@ -12,10 +12,10 @@ import sys
 from fractions import Fraction
 
 from . import fileio
-from .complexes import InputError, NotPseudomanifold, boundary_matrix
+from .complexes import Chain, InputError, NotPseudomanifold, boundary_matrix
 from .geometry import weights_from_coordinates
-from .homology import smith_normal_form, torsion_witness_from_submatrix
-from .matrices import IntMatrix
+from .homology import (homology_summary, smith_normal_form,
+                       torsion_witness_from_submatrix)
 from .solver import OHCPInstance, brute_force_oracle, solve
 from .tu import (Undecided, find_mobius_subcomplex, heller_tompkins,
                  is_tu_minor_enumeration, mcm_witness_from_cycle, tu_verdict,
@@ -144,7 +144,6 @@ def _report_solution(args, K, inst, sol):
         with open(args.out + ".json", "w", encoding="utf-8") as f:
             f.write(summary)
         if sol.integral:
-            from .complexes import Chain
             chain = Chain.from_vector(inst.p, sol.x_star)
             with open(args.out + ".chn", "w", encoding="utf-8") as f:
                 f.write(fileio.write_chain(K, chain))
@@ -167,7 +166,6 @@ def cmd_oracle(args):
 
 
 def cmd_homology(args):
-    from .homology import homology_summary
     K = _load_complex(args)
     betti, torsion = homology_summary(K, args.dim)
     _emit({"betti": betti, "torsion": torsion})

@@ -129,7 +129,7 @@ def write_matrix(M: IntMatrix) -> str:
     return M.to_text()
 
 
-def solution_summary(sol, y=None) -> str:
+def solution_summary(sol) -> str:
     """JSON summary of an OHCP solution; all numbers exact."""
     obj = sol.objective
     doc = {

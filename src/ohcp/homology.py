@@ -3,9 +3,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (SimplicialComplex, boundary_matrix, boundary_submatrix,
+from .complexes import (InputError, SimplicialComplex, boundary_submatrix,
                         relative_boundary_matrix)
-from .matrices import IntMatrix, det_int, rank_int, smith_diagonal
+from .matrices import IntMatrix, det_int, smith_diagonal
 
 
 @dataclass
@@ -30,7 +30,7 @@ class TorsionWitness:
 
 def smith_normal_form(M: IntMatrix) -> SNFResult:
     """Smith normal form diagonal and rank of M (see matrices.smith_diagonal)."""
-    diagonal = smith_diagonal(M)
+    diagonal = smith_diagonal(M.sparse_rows(), M.n)
     return SNFResult(diagonal=diagonal, rank=len(diagonal))
 
 
@@ -42,20 +42,21 @@ def torsion_coefficients(r: SNFResult):
     return [d for d in r.diagonal if d > 1]
 
 
+def _boundary_diagonal(K: SimplicialComplex, q: int) -> list:
+    """Invariant factors of the q-boundary. Its cached columns are the rows
+    of its transpose, which has the same invariant factors."""
+    return smith_diagonal([dict(col) for col in K.boundary_columns(q)],
+                          K.count(q - 1))
+
+
 def homology_summary(K: SimplicialComplex, p: int):
     """(betti_p, torsion coefficients of H_p(K))."""
     if not 0 <= p <= K.dim:
-        raise ValueError(f"dimension {p} out of range 0..{K.dim}")
-    m = K.count(p)
-    rank_dp = rank_int(boundary_matrix(K, p)) if p >= 1 else 0
-    if p + 1 <= K.dim:
-        snf_up = smith_normal_form(boundary_matrix(K, p + 1))
-        rank_up = snf_up.rank
-        torsion = torsion_coefficients(snf_up)
-    else:
-        rank_up = 0
-        torsion = []
-    return m - rank_dp - rank_up, torsion
+        raise InputError(f"dimension {p} out of range 0..{K.dim}")
+    rank_dp = len(_boundary_diagonal(K, p)) if p >= 1 else 0
+    up = _boundary_diagonal(K, p + 1) if p < K.dim else []
+    torsion = [d for d in up if d > 1]
+    return K.count(p) - rank_dp - len(up), torsion
 
 
 def torsion_witness_from_submatrix(K: SimplicialComplex, p: int, rows, cols) -> TorsionWitness:

@@ -2,6 +2,9 @@
 
 min f'x  s.t.  A x = b,  lower <= x <= upper
 
+with A a list of sparse rows {column: nonzero}, which the simplex reads as
+they are.
+
 All arithmetic is exact, so optima are exact and A x = b holds with no
 tolerance. The solver is a two-phase bounded-variable simplex with Bland's
 anti-cycling rule, which always terminates and lands on a basic feasible
@@ -26,7 +29,7 @@ _AT_UPPER = "U"
 @dataclass
 class LinearProgram:
     objective: list                  # Fractions, length N
-    A: list                          # M x N Fractions
+    A: list                          # M sparse rows {column: nonzero}
     b: list                          # Fractions, length M
     lower: list = None               # finite Fractions; defaults to 0
     upper: list = None               # Fraction or None (+inf); defaults to None
@@ -34,7 +37,8 @@ class LinearProgram:
     def __post_init__(self):
         n = len(self.objective)
         self.objective = [Fraction(c) for c in self.objective]
-        self.A = [[Fraction(e) for e in row] for row in self.A]
+        self.A = [{j: _number(a) for j, a in row.items() if a}
+                  for row in self.A]
         self.b = [Fraction(v) for v in self.b]
         if self.lower is None:
             self.lower = [Fraction(0)] * n
@@ -45,8 +49,10 @@ class LinearProgram:
         else:
             self.upper = [None if v is None else Fraction(v) for v in self.upper]
         for row in self.A:
-            if len(row) != n:
-                raise ValueError("constraint row length mismatch")
+            for j in row:
+                if not 0 <= j < n:
+                    raise ValueError(f"column index {j} out of range "
+                                     f"0..{n - 1}")
         if len(self.b) != len(self.A):
             raise ValueError("b length mismatch")
         if len(self.lower) != n or len(self.upper) != n:
@@ -63,18 +69,6 @@ class LinearProgram:
     def num_constraints(self):
         return len(self.b)
 
-    def dump(self) -> str:
-        """Debug text form; exact rationals, not a compatibility promise."""
-        lines = ["min"]
-        lines.append("  " + " ".join(str(c) for c in self.objective))
-        lines.append("st")
-        for row, rhs in zip(self.A, self.b):
-            lines.append("  " + " ".join(str(e) for e in row) + " = " + str(rhs))
-        lines.append("bounds")
-        for j, (lo, up) in enumerate(zip(self.lower, self.upper)):
-            lines.append(f"  x{j}: {lo} .. {'inf' if up is None else up}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass
 class LPSolution:
@@ -90,6 +84,12 @@ def _exact(v):
     if type(v) is int or v.denominator != 1:
         return v
     return v.numerator
+
+
+def _number(v):
+    """v as an int when it is integral, else as a Fraction; ints pass as
+    they are."""
+    return v if type(v) is int else _exact(Fraction(v))
 
 
 def _div(a, b):
@@ -244,14 +244,13 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
     (phase 1 includes driving leftover artificials out of the basis) and
     the bound flips of both."""
     m, n = lp.num_constraints, lp.num_vars
-    A = [{j: _exact(a) for j, a in enumerate(row) if a} for row in lp.A]
     lower = [_exact(v) for v in lp.lower] + [0] * m
     upper = [None if v is None else _exact(v) for v in lp.upper] + [None] * m
     # start nonbasic at lower bounds; artificials absorb the residual
     resid = [_exact(lp.b[i] - sum(a * lower[j] for j, a in row.items()))
-             for i, row in enumerate(A)]
+             for i, row in enumerate(lp.A)]
     rows = []
-    for i, row in enumerate(A):
+    for i, row in enumerate(lp.A):
         s = 1 if resid[i] >= 0 else -1
         tr = row.copy() if s == 1 else {j: -a for j, a in row.items()}
         tr[n + i] = s
@@ -292,7 +291,7 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
         return LPSolution(status="Unbounded", stats=stats)
     x = tab.point(n)
     # exactness check, zero tolerance
-    for row, rhs in zip(A, lp.b):
+    for row, rhs in zip(lp.A, lp.b):
         if sum(a * x[j] for j, a in row.items()) != rhs:
             raise AssertionError("simplex returned a point with A x != b")
     obj = Fraction(sum(lp.objective[j] * v for j, v in enumerate(x) if v))
@@ -302,13 +301,8 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
                       stats=stats)
 
 
-def verify_vertex_integrality(sol: LPSolution, a_is_tu: bool = False,
-                              b_integral: bool = False) -> bool:
-    """True iff every coordinate of the solution point is an integer.
-
-    The flags document when integrality is guaranteed (TU constraint matrix
-    with integral right-hand side and bounds); they do not change the check.
-    """
+def verify_vertex_integrality(sol: LPSolution) -> bool:
+    """True iff every coordinate of the solution point is an integer."""
     if sol.status != "Optimal":
         raise ValueError("integrality check needs an Optimal solution")
     return all(v.denominator == 1 for v in sol.x)

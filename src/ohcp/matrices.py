@@ -2,18 +2,18 @@
 
 Python ints are unbounded, so every determinant, rank and Smith normal form
 here is exact. `IntMatrix` is a small dense matrix. The elimination kernel
-reads it into sparse rows and first eliminates every +-1 pivot it can,
-least Markowitz cost first; only the core left without unit entries goes to
-dense code (Bareiss for the determinant, a Smith normal form loop for rank
-and SNF). Boundary matrices are almost all unit pivots, so that core is
-small or empty (Dumas, Saunders & Villard, "On efficient sparse integer
-matrix Smith normal form computations", JSC 2001).
+works on sparse rows (`IntMatrix` callers read their matrix into them) and
+first eliminates every +-1 pivot it can, least Markowitz cost first; only
+the core left without unit entries goes to dense code (Bareiss for the
+determinant, a Smith normal form loop for rank and SNF). Boundary matrices
+are almost all unit pivots, so that core is small or empty (Dumas, Saunders
+& Villard, "On efficient sparse integer matrix Smith normal form
+computations", JSC 2001).
 """
 from __future__ import annotations
 
 import heapq
 import math
-from fractions import Fraction
 
 
 class IntMatrix:
@@ -51,9 +51,6 @@ class IntMatrix:
     def shape(self):
         return (self.m, self.n)
 
-    def row(self, i):
-        return list(self.data[i])
-
     def col(self, j):
         return [self.data[i][j] for i in range(self.m)]
 
@@ -87,6 +84,10 @@ class IntMatrix:
     def is_zero(self):
         return all(all(e == 0 for e in row) for row in self.data)
 
+    def sparse_rows(self):
+        """Each row as {column: nonzero entry}."""
+        return [{j: v for j, v in enumerate(row) if v} for row in self.data]
+
     def to_text(self):
         lines = [f"{self.m} {self.n}"]
         for row in self.data:
@@ -94,8 +95,10 @@ class IntMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _eliminate_units(M: IntMatrix):
-    """Eliminate the +-1 pivots of M exactly, least Markowitz cost first.
+def _eliminate_units(rows, n):
+    """Eliminate the +-1 pivots of the sparse rows `rows` ({column: entry},
+    columns 0..n-1; rows are modified in place) exactly, least Markowitz
+    cost first.
 
     A pivot v = +-1 at (r, c) subtracts (a_ic * v) * row r from every other
     row i with a_ic != 0; row r and column c then leave the matrix, and the
@@ -106,8 +109,7 @@ def _eliminate_units(M: IntMatrix):
     order, and rows[i] the sparse Schur complement row {col: entry} of each
     row never pivoted on (None for pivot rows). The rest has no +-1 entry.
     """
-    rows = [{j: v for j, v in enumerate(row) if v} for row in M.data]
-    cols = [set() for _ in range(M.n)]      # rows holding each column
+    cols = [set() for _ in range(n)]        # rows holding each column
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
@@ -215,7 +217,7 @@ def det_int(M: IntMatrix) -> int:
     """
     if M.m != M.n:
         raise ValueError("determinant of non-square matrix")
-    pivots, rows = _eliminate_units(M)
+    pivots, rows = _eliminate_units(M.sparse_rows(), M.n)
     core_rows = [i for i, row in enumerate(rows) if row is not None]
     pivot_cols = {c for _, c, _ in pivots}
     core_cols = [j for j in range(M.n) if j not in pivot_cols]
@@ -310,11 +312,12 @@ def _smith_dense(a):
     return [a[i][i] for i in range(t)]
 
 
-def smith_diagonal(M: IntMatrix) -> list:
-    """Invariant factors d_1 | d_2 | ... of M, each >= 1: a 1 for every
-    unit pivot, then the Smith normal form of the core's nonzero rows and
+def smith_diagonal(rows, n) -> list:
+    """Invariant factors d_1 | d_2 | ..., each >= 1, of the matrix with the
+    sparse rows `rows` (consumed) over columns 0..n-1: a 1 for every unit
+    pivot, then the Smith normal form of the core's nonzero rows and
     columns."""
-    pivots, rows = _eliminate_units(M)
+    pivots, rows = _eliminate_units(rows, n)
     live = [row for row in rows if row]
     cols = sorted(set().union(*live))
     core = [[row.get(j, 0) for j in cols] for row in live]
@@ -323,29 +326,4 @@ def smith_diagonal(M: IntMatrix) -> list:
 
 def rank_int(M: IntMatrix) -> int:
     """Rank over the rationals: unit pivots plus the rank of the core."""
-    return len(smith_diagonal(M))
-
-
-def solve_square(A: IntMatrix, b):
-    """Solve A x = b exactly over Q; returns list of Fractions or None if singular."""
-    k = A.m
-    if A.n != k or len(b) != k:
-        raise ValueError("solve_square: shape mismatch")
-    a = [[Fraction(A.data[i][j]) for j in range(k)] + [Fraction(b[i])]
-         for i in range(k)]
-    for t in range(k):
-        piv = None
-        for r in range(t, k):
-            if a[r][t] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        a[t], a[piv] = a[piv], a[t]
-        inv = a[t][t]
-        a[t] = [e / inv for e in a[t]]
-        for r in range(k):
-            if r != t and a[r][t] != 0:
-                f = a[r][t]
-                a[r] = [a[r][j] - f * a[t][j] for j in range(k + 1)]
-    return [a[i][k] for i in range(k)]
+    return len(smith_diagonal(M.sparse_rows(), M.n))

@@ -16,11 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .complexes import Chain, SimplicialComplex, boundary_matrix
-from .lp import LinearProgram, LPSolution, simplex_solve
-from .matrices import IntMatrix
+from .complexes import InputError, SimplicialComplex, boundary_matrix
+from .lp import LinearProgram, simplex_solve
 from .tu import BudgetExceeded
 
 VARIANTS = ("L1", "L0Box", "TotalWeight")
@@ -65,9 +62,6 @@ class OHCPInstance:
     def n(self):
         return self.K.count(self.p + 1)
 
-    def boundary(self) -> IntMatrix:
-        return boundary_matrix(self.K, self.p + 1)
-
 
 @dataclass
 class OHCPSolution:
@@ -85,73 +79,27 @@ class OHCPSolution:
         return [j for j, v in enumerate(self.y_witness) if v != 0]
 
 
-def _split_lp(inst: OHCPInstance, x_upper=None, y_cost=None) -> LinearProgram:
-    m, n = inst.m, inst.n
-    B = inst.boundary() if n else None
-    N = 2 * m + 2 * n
-    obj = [abs(w) for w in inst.weights] * 2
-    if y_cost is None:
-        obj += [Fraction(0)] * (2 * n)
-    else:
-        obj += [abs(v) for v in y_cost] * 2
-    A = []
-    for i in range(m):
-        row = [Fraction(0)] * N
-        row[i] = Fraction(1)
-        row[m + i] = Fraction(-1)
-        if n:
-            for j in range(n):
-                e = B[i, j]
-                if e:
-                    row[2 * m + j] = Fraction(-e)
-                    row[2 * m + n + j] = Fraction(e)
-        A.append(row)
-    b = [Fraction(v) for v in inst.c]
-    upper = [x_upper] * (2 * m) + [None] * (2 * n)
-    return LinearProgram(objective=obj, A=A, b=b, upper=upper)
-
-
-def assemble_l1(inst: OHCPInstance) -> LinearProgram:
-    if inst.variant != "L1":
-        raise ValueError("instance variant is not L1")
-    return _split_lp(inst)
-
-
-def assemble_l0(inst: OHCPInstance) -> LinearProgram:
-    if inst.variant != "L0Box":
-        raise ValueError("instance variant is not L0Box")
-    return _split_lp(inst, x_upper=Fraction(1))
-
-
-def assemble_total(inst: OHCPInstance) -> LinearProgram:
-    if inst.variant != "TotalWeight":
-        raise ValueError("instance variant is not TotalWeight")
-    return _split_lp(inst, y_cost=inst.y_weights)
+def _boundary_columns(inst: OHCPInstance):
+    """The complex's cached sparse columns of B; none when p is the top
+    dimension."""
+    return inst.K.boundary_columns(inst.p + 1) if inst.n else []
 
 
 def assemble(inst: OHCPInstance) -> LinearProgram:
-    return {
-        "L1": assemble_l1,
-        "L0Box": assemble_l0,
-        "TotalWeight": assemble_total,
-    }[inst.variant](inst)
-
-
-def existence_check(inst: OHCPInstance) -> bool:
-    """x = c, y = 0 is always feasible, so an optimum always exists (the
-    candidate set with objective <= that of c is finite over the integers)."""
-    m = inst.m
-    x = [Fraction(v) for v in inst.c]
-    lp = assemble(inst)
-    xplus = [max(v, 0) for v in x]
-    xminus = [max(-v, 0) for v in x]
-    point = xplus + xminus + [Fraction(0)] * (2 * inst.n)
-    for row, rhs in zip(lp.A, lp.b):
-        if sum(r * v for r, v in zip(row, point)) != rhs:
-            return False
-    if inst.variant == "L0Box" and any(abs(v) > 1 for v in x):
-        return False
-    return True
+    """The LP of `inst`, one sparse row per p-simplex i:
+    x_i^+ - x_i^- - (B y^+)_i + (B y^-)_i = c_i, in O(nnz(B))."""
+    m, n = inst.m, inst.n
+    rows = [{i: 1, m + i: -1} for i in range(m)]
+    for j, col in enumerate(_boundary_columns(inst)):
+        for i, e in col.items():
+            rows[i][2 * m + j] = -e
+            rows[i][2 * m + n + j] = e
+    x_cost = [abs(w) for w in inst.weights]
+    y_cost = ([abs(v) for v in inst.y_weights]
+              if inst.variant == "TotalWeight" else [0] * n)
+    x_upper = 1 if inst.variant == "L0Box" else None
+    return LinearProgram(objective=x_cost * 2 + y_cost * 2, A=rows, b=inst.c,
+                         upper=[x_upper] * (2 * m) + [None] * (2 * n))
 
 
 def solve(inst: OHCPInstance) -> OHCPSolution:
@@ -168,11 +116,13 @@ def solve(inst: OHCPInstance) -> OHCPSolution:
     m, n = inst.m, inst.n
     x = [sol.x[i] - sol.x[m + i] for i in range(m)]
     y = [sol.x[2 * m + j] - sol.x[2 * m + n + j] for j in range(n)]
-    B = inst.boundary() if n else None
-    for i in range(m):
-        by = sum(B[i, j] * y[j] for j in range(n)) if n else Fraction(0)
-        if x[i] != inst.c[i] + by:
-            raise AssertionError("reconstructed chain violates x = c + B y")
+    c_by = list(inst.c)
+    for yj, col in zip(y, _boundary_columns(inst)):
+        if yj:
+            for i, e in col.items():
+                c_by[i] += e * yj
+    if x != c_by:
+        raise AssertionError("reconstructed chain violates x = c + B y")
     integral = all(v.denominator == 1 for v in x + y)
     note = None
     if not integral:
@@ -196,9 +146,11 @@ def brute_force_oracle(inst: OHCPInstance, y_bound: int,
     (dtype=object), so nothing wraps around. Ties are broken by the
     lexicographically smallest y.
     """
+    import numpy as np
+
     m, n = inst.m, inst.n
     if y_bound < 0:
-        raise ValueError("y_bound must be >= 0")
+        raise InputError("y_bound must be >= 0")
     count = (2 * y_bound + 1) ** n
     if count > budget:
         raise BudgetExceeded(f"{count} candidates exceed budget {budget}")
@@ -209,7 +161,7 @@ def brute_force_oracle(inst: OHCPInstance, y_bound: int,
     w_int = [abs(int(w * scale)) for w in inst.weights]
     v_int = ([abs(int(v * scale)) for v in inst.y_weights]
              if inst.variant == "TotalWeight" else [])
-    B = inst.boundary().data if n else []
+    B = boundary_matrix(inst.K, inst.p + 1).data if n else []
     row_abs = [sum(abs(e) for e in row) for row in B] if n else [0] * m
     x_max = [abs(ci) + y_bound * r for ci, r in zip(inst.c, row_abs)]
     bound = (sum(w * x for w, x in zip(w_int, x_max))
@@ -239,9 +191,3 @@ def brute_force_oracle(inst: OHCPInstance, y_bound: int,
     objective = Fraction(int(obj[best]), scale)
     return OHCPSolution(x_star=x, y_witness=y, objective=objective,
                         integral=True, variant=inst.variant)
-
-
-def chain_from_solution(inst: OHCPInstance, sol: OHCPSolution) -> Chain:
-    if not sol.integral:
-        raise ValueError("cannot form an integer chain from a fractional optimum")
-    return Chain.from_vector(inst.p, sol.x_star)

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import (NotPseudomanifold, SimplicialComplex, boundary_matrix,
-                        boundary_submatrix, coface_map, orient_consistently)
+from .complexes import (InputError, NotPseudomanifold, SimplicialComplex,
+                        boundary_matrix, boundary_submatrix, coface_map,
+                        orient_consistently)
 from .matrices import IntMatrix, det_int
 
 
@@ -308,9 +309,7 @@ def find_mobius_subcomplex(K: SimplicialComplex, q: int,
     With want_orientable=True returns the first orientable cycle complex
     instead (used by tests to confirm cylinders are found).
     """
-    if not 1 <= q <= K.dim:
-        raise ValueError(f"dimension {q} out of range 1..{K.dim}")
-    B = K.boundary_columns(q)
+    B = K.boundary_columns(q)     # InputError unless 1 <= q <= K.dim
     n = len(B)
     # adjacency: simplices sharing a (q-1)-face, paired through its cofaces
     shared = {}
@@ -405,7 +404,7 @@ def tu_verdict(K: SimplicialComplex, p: int, col_cap: int = 16,
     """
     q = p + 1
     if q > K.dim:
-        raise ValueError(f"complex has no {q}-simplices")
+        raise InputError(f"complex has no {q}-simplices")
     try:
         if all(len(c) <= 2 for c in coface_map(K, q)):
             if orient_consistently(K, q) is not None:

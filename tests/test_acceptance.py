@@ -119,7 +119,7 @@ def test_acceptance_5_ohcp_integrality_and_optimality():
         inst = OHCPInstance(K=K, p=1, c=c, weights=w, variant="L1")
         sol = solve(inst)
         assert sol.integral
-        by = inst.boundary().matvec(sol.y_witness)
+        by = boundary_matrix(K, 2).matvec(sol.y_witness)
         assert sol.x_star == [ci + bi for ci, bi in zip(c, by)]
         bound = max([abs(v) for v in sol.y_witness] + [1]) + 1
         if (2 * bound + 1) ** n > 10 ** 7:
@@ -178,22 +178,15 @@ def test_acceptance_8_embedded_complexes_tu():
 
 def test_acceptance_9_lp_soundness():
     """Simplex vs vertex enumeration on random LPs; Bland terminates."""
-    from test_lp import best_vertex_objective, random_lp
-    from ohcp.lp import LinearProgram, simplex_solve
+    from test_lp import beale_lp, best_vertex_objective, random_lp
+    from ohcp.lp import simplex_solve
     rng = random.Random(7)
     for _ in range(50):
         lp = random_lp(rng)
         sol = simplex_solve(lp)
         assert sol.status == "Optimal"
         assert sol.objective == best_vertex_objective(lp)
-    A = [
-        [Fraction(1, 4), -60, Fraction(-1, 25), 9, 1, 0, 0],
-        [Fraction(1, 2), -90, Fraction(-1, 50), 3, 0, 1, 0],
-        [0, 0, 1, 0, 0, 0, 1],
-    ]
-    f = [Fraction(-3, 4), 150, Fraction(-1, 50), 6, 0, 0, 0]
-    beale = LinearProgram(objective=f, A=A, b=[0, 0, 1])
-    sol = simplex_solve(beale)
+    sol = simplex_solve(beale_lp())
     assert sol.status == "Optimal" and sol.objective == Fraction(-1, 20)
     report(9, "50 random LPs match brute-force vertex enumeration exactly; "
               "Bland's rule terminates on Beale's cycling example")

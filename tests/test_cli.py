@@ -1,8 +1,12 @@
 """End-to-end command-line behaviour, exit codes, and determinism."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ohcp
 from ohcp import fileio, fixtures
 from ohcp.cli import main
 
@@ -125,6 +129,21 @@ class TestSolvePipeline:
         assert code == 4
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("homology", "--dim", "5"),
+        ("mobius-scan", "--dim", "0"),
+        ("tu", "--dim", "3"),
+        ("tu", "--dim", "3", "--method", "mobius"),
+        ("torsion-scan", "--dim", "3"),
+        ("oracle", "--dim", "1", "--chain", "c.chn", "--y-bound", "-1"),
+    ], ids=" ".join)
+    def test_out_of_range_exit_code(self, paths, capsys, argv):
+        argv = [paths["chain"] if a == "c.chn" else a for a in argv]
+        code, _, err = run(capsys, argv[0], "--complex", paths["triangle"],
+                           *argv[1:])
+        assert code == 4
+        assert err.startswith("error: ")
+
     def test_missing_file_exit_code(self, paths, capsys):
         code, _, _ = run(capsys, "homology", "--complex",
                          paths["tmp"] / "nope.scx", "--dim", "0")
@@ -146,3 +165,11 @@ class TestSolvePipeline:
                            "--coords", xyz)
         assert code == 0
         assert json.loads(out)["objective"] == "0/1"
+
+
+def test_start_up_does_not_import_numpy():
+    # numpy is imported only by the brute-force oracle that needs it
+    src = os.path.dirname(os.path.dirname(ohcp.__file__))
+    check = "import sys, ohcp.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0

@@ -1,4 +1,5 @@
 """Exact simplex solver versus a brute-force vertex enumerator."""
+import copy
 import itertools
 import math
 import random
@@ -10,7 +11,21 @@ from hypothesis import strategies as st
 
 from dense_simplex_reference import simplex_solve as dense_simplex_solve
 from ohcp.lp import LinearProgram, LPSolution, simplex_solve, verify_vertex_integrality
-from ohcp.matrices import IntMatrix, solve_square
+from ohcp.matrices import IntMatrix, rank_int
+from square_solve import solve_square
+
+
+def dense(lp):
+    """The constraint matrix of `lp` as dense rows."""
+    return [[row.get(j, 0) for j in range(lp.num_vars)] for row in lp.A]
+
+
+def reference_solve(lp):
+    """The frozen dense simplex on a copy of `lp` whose A is dense rows, the
+    form that reference reads."""
+    view = copy.copy(lp)
+    view.A = dense(lp)
+    return dense_simplex_solve(view)
 
 
 def enumerate_vertices(lp):
@@ -21,9 +36,10 @@ def enumerate_vertices(lp):
     bound; with finite boxes this hits an optimum of any bounded LP.
     """
     m, n = lp.num_constraints, lp.num_vars
+    A = dense(lp)
     points = []
     for basic in itertools.combinations(range(n), m):
-        sub = [[lp.A[i][j] for j in basic] for i in range(m)]
+        sub = [[A[i][j] for j in basic] for i in range(m)]
         nonbasic = [j for j in range(n) if j not in basic]
         choices = []
         for j in nonbasic:
@@ -32,7 +48,7 @@ def enumerate_vertices(lp):
                 opts.append(lp.upper[j])
             choices.append(opts)
         for assign in itertools.product(*choices):
-            rhs = [lp.b[i] - sum(lp.A[i][j] * v
+            rhs = [lp.b[i] - sum(A[i][j] * v
                                  for j, v in zip(nonbasic, assign))
                    for i in range(m)]
             den = math.lcm(*[e.denominator for row in sub for e in row])
@@ -66,51 +82,52 @@ def random_lp(rng):
     while True:
         n = rng.randint(2, 6)
         m = rng.randint(1, min(4, n - 1))
-        A = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
-        from ohcp.matrices import rank_int
-        if rank_int(IntMatrix([[int(e) for e in row] for row in A])) < m:
+        A = [{j: a for j in range(n) if (a := rng.randint(-3, 3))}
+             for _ in range(m)]
+        if rank_int(IntMatrix([[row.get(j, 0) for j in range(n)]
+                               for row in A])) < m:
             continue
         lower = [Fraction(rng.randint(-2, 0)) for _ in range(n)]
         upper = [lo + rng.randint(1, 4) for lo in lower]
         # right-hand side from a random feasible interior-ish point
         x0 = [lo + Fraction(rng.randint(0, int(up - lo)))
               for lo, up in zip(lower, upper)]
-        b = [sum(A[i][j] * x0[j] for j in range(n)) for i in range(m)]
+        b = [sum(a * x0[j] for j, a in row.items()) for row in A]
         f = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
         return LinearProgram(objective=f, A=A, b=b, lower=lower, upper=upper)
 
 
 class TestBasics:
     def test_pinned_variable(self):
-        lp = LinearProgram(objective=[1], A=[[1]], b=[5])
+        lp = LinearProgram(objective=[1], A=[{0: 1}], b=[5])
         sol = simplex_solve(lp)
         assert sol.status == "Optimal"
         assert sol.x == [5] and sol.objective == 5
 
     def test_infeasible(self):
-        lp = LinearProgram(objective=[0], A=[[1]], b=[-1])
+        lp = LinearProgram(objective=[0], A=[{0: 1}], b=[-1])
         assert simplex_solve(lp).status == "Infeasible"
 
     def test_unbounded(self):
-        lp = LinearProgram(objective=[-1], A=[[0]], b=[0])
+        lp = LinearProgram(objective=[-1], A=[{}], b=[0])
         assert simplex_solve(lp).status == "Unbounded"
 
     def test_box_vertex(self):
-        lp = LinearProgram(objective=[1, 1], A=[[1, -1]], b=[1],
+        lp = LinearProgram(objective=[1, 1], A=[{0: 1, 1: -1}], b=[1],
                            upper=[3, 3])
         sol = simplex_solve(lp)
         assert sol.status == "Optimal"
         assert sol.x == [1, 0] and sol.objective == 1
 
     def test_exact_rationals(self):
-        lp = LinearProgram(objective=[1], A=[[3]], b=[1])
+        lp = LinearProgram(objective=[1], A=[{0: 3}], b=[1])
         sol = simplex_solve(lp)
         assert sol.x == [Fraction(1, 3)]
 
-    def test_dump_is_textual(self):
-        lp = LinearProgram(objective=[Fraction(1, 2)], A=[[1]], b=[1])
-        text = lp.dump()
-        assert "min" in text and "1/2" in text and "bounds" in text
+    def test_column_index_out_of_range(self):
+        for j in (-1, 2):
+            with pytest.raises(ValueError):
+                LinearProgram(objective=[1, 1], A=[{j: 1}], b=[1])
 
 
 class TestAgainstVertexEnumeration:
@@ -125,7 +142,7 @@ class TestAgainstVertexEnumeration:
             assert sol.status == "Optimal"
             assert sol.objective == oracle
             for row, rhs in zip(lp.A, lp.b):
-                assert sum(a * v for a, v in zip(row, sol.x)) == rhs
+                assert sum(a * sol.x[j] for j, a in row.items()) == rhs
             solved += 1
         assert solved >= 50
 
@@ -134,8 +151,8 @@ class TestAgainstVertexEnumeration:
         for _ in range(20):
             lp = random_lp(rng)
             # push b out of reach of the box
-            reach = sum(abs(a) * max(abs(lo), abs(up))
-                        for a, lo, up in zip(lp.A[0], lp.lower, lp.upper))
+            reach = sum(abs(a) * max(abs(lp.lower[j]), abs(lp.upper[j]))
+                        for j, a in lp.A[0].items())
             bad = LinearProgram(objective=lp.objective, A=lp.A,
                                 b=[reach + 1] + lp.b[1:],
                                 lower=lp.lower, upper=lp.upper)
@@ -145,9 +162,9 @@ class TestAgainstVertexEnumeration:
 def beale_lp():
     """Beale's classic cycling LP in standard form with slacks."""
     A = [
-        [Fraction(1, 4), -60, Fraction(-1, 25), 9, 1, 0, 0],
-        [Fraction(1, 2), -90, Fraction(-1, 50), 3, 0, 1, 0],
-        [0, 0, 1, 0, 0, 0, 1],
+        {0: Fraction(1, 4), 1: -60, 2: Fraction(-1, 25), 3: 9, 4: 1},
+        {0: Fraction(1, 2), 1: -90, 2: Fraction(-1, 50), 3: 3, 5: 1},
+        {2: 1, 6: 1},
     ]
     f = [Fraction(-3, 4), 150, Fraction(-1, 50), 6, 0, 0, 0]
     return LinearProgram(objective=f, A=A, b=[0, 0, 1])
@@ -166,20 +183,19 @@ class TestIntegrality:
         from ohcp import fixtures
         B = boundary_matrix(fixtures.tetrahedron_surface(), 2)
         n = B.n
-        A = [[Fraction(B[i, j]) for j in range(n)] for i in range(B.m)]
-        lp = LinearProgram(objective=[1] * n, A=A, b=[0] * B.m,
+        lp = LinearProgram(objective=[1] * n, A=B.sparse_rows(), b=[0] * B.m,
                            lower=[-2] * n, upper=[2] * n)
         sol = simplex_solve(lp)
         assert sol.status == "Optimal"
-        assert verify_vertex_integrality(sol, a_is_tu=True, b_integral=True)
+        assert verify_vertex_integrality(sol)
 
     def test_non_tu_fractional_vertex(self):
-        lp = LinearProgram(objective=[1], A=[[2]], b=[1])
+        lp = LinearProgram(objective=[1], A=[{0: 2}], b=[1])
         sol = simplex_solve(lp)
         assert not verify_vertex_integrality(sol)
 
     def test_zero_solution_is_integral(self):
-        lp = LinearProgram(objective=[1, 1], A=[[1, 1]], b=[0])
+        lp = LinearProgram(objective=[1, 1], A=[{0: 1, 1: 1}], b=[0])
         assert verify_vertex_integrality(simplex_solve(lp))
 
     def test_check_requires_optimal(self):
@@ -272,24 +288,23 @@ class TestPivotPath:
     def test_bound_flip_counted(self):
         # x0 <= 1 flips to its upper bound before the artificial (value 5)
         # can leave; x1 then enters and drives the artificial out
-        lp = LinearProgram(objective=[-1, 0], A=[[1, 1]], b=[5],
+        lp = LinearProgram(objective=[-1, 0], A=[{0: 1, 1: 1}], b=[5],
                            upper=[1, None])
         sol = simplex_solve(lp)
         assert sol.x == [1, 4]
         assert pivot_counts(sol) == (1, 0, 1)
 
     def test_stats_on_infeasible_and_unbounded(self):
-        infeasible = simplex_solve(LinearProgram(objective=[0], A=[[1]],
+        infeasible = simplex_solve(LinearProgram(objective=[0], A=[{0: 1}],
                                                  b=[-1]))
         assert pivot_counts(infeasible) == (0, 0, 0)
-        unbounded = simplex_solve(LinearProgram(objective=[-1], A=[[0]],
+        unbounded = simplex_solve(LinearProgram(objective=[-1], A=[{}],
                                                 b=[0]))
         assert pivot_counts(unbounded) == (0, 0, 0)
 
     def test_fixture_lps_match_dense_reference(self):
         for name, lp in fixture_lps():
-            assert same_outcome(simplex_solve(lp), dense_simplex_solve(lp)), \
-                name
+            assert same_outcome(simplex_solve(lp), reference_solve(lp)), name
 
 
 def same_outcome(a, b):
@@ -310,7 +325,8 @@ def bounded_lps(draw):
     in the box or drawn freely (often infeasible)."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 6))
-    A = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(m)]
+    A = [{j: a for j in range(n) if (a := draw(st.integers(-2, 2)))}
+         for _ in range(m)]
     f = [draw(_COSTS) for _ in range(n)]
     lower = [Fraction(draw(st.integers(-4, 0)), draw(st.sampled_from([1, 2])))
              for _ in range(n)]
@@ -319,7 +335,7 @@ def bounded_lps(draw):
     if draw(st.booleans()):
         x0 = [lo + draw(st.integers(0, 2 if up is None else int(up - lo)))
               for lo, up in zip(lower, upper)]
-        b = [sum(a * v for a, v in zip(row, x0)) for row in A]
+        b = [sum(a * x0[j] for j, a in row.items()) for row in A]
     else:
         b = [Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 3])))
              for _ in range(m)]
@@ -330,8 +346,8 @@ class TestAgainstDenseReference:
     @settings(max_examples=300, deadline=None)
     @given(bounded_lps())
     def test_same_status_point_basis_objective(self, lp):
-        assert same_outcome(simplex_solve(lp), dense_simplex_solve(lp))
+        assert same_outcome(simplex_solve(lp), reference_solve(lp))
 
     def test_beale_matches(self):
         lp = beale_lp()
-        assert same_outcome(simplex_solve(lp), dense_simplex_solve(lp))
+        assert same_outcome(simplex_solve(lp), reference_solve(lp))

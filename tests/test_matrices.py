@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ohcp.matrices import IntMatrix, det_int, rank_int, solve_square
+from ohcp.matrices import IntMatrix, det_int, rank_int
+from square_solve import solve_square
 
 
 def square(k, lo=-4, hi=4):

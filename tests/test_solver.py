@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from ohcp import fixtures
-from ohcp.complexes import build_closure
-from ohcp.solver import (OHCPInstance, assemble, assemble_l0, assemble_l1,
-                         assemble_total, brute_force_oracle,
-                         chain_from_solution, existence_check, solve)
+from ohcp import fixtures, solver
+from ohcp.complexes import boundary_matrix, build_closure
+from ohcp.lp import LPSolution
+from ohcp.solver import OHCPInstance, assemble, brute_force_oracle, solve
 from ohcp.tu import BudgetExceeded
 
 
@@ -23,26 +22,46 @@ class TestAssembly:
     def test_variable_and_constraint_counts(self):
         K = fixtures.triangle()
         inst = l1_instance(K, [1, -1, 1])
-        lp = assemble_l1(inst)
+        lp = assemble(inst)
         assert lp.num_vars == 2 * 3 + 2 * 1
         assert lp.num_constraints == 3
 
     def test_moebius_counts(self):
         K = fixtures.mobius_strip()
         inst = l1_instance(K, [0] * 12)
-        lp = assemble_l1(inst)
+        lp = assemble(inst)
         assert lp.num_vars == 2 * 12 + 2 * 6
         assert lp.num_constraints == 12
 
+    def test_rows_are_the_split_boundary(self):
+        # row i reads x_i^+ - x_i^- - (B y^+)_i + (B y^-)_i = c_i, and the
+        # input chain itself (y = 0) is a feasible point
+        K = fixtures.mobius_strip()
+        c = [(1, -1, 0)[i % 3] for i in range(K.count(1))]
+        lp = assemble(l1_instance(K, c))
+        B = boundary_matrix(K, 2)
+        m, n = B.m, B.n
+        for i, row in enumerate(lp.A):
+            want = {i: 1, m + i: -1}
+            for j in range(n):
+                if B[i, j]:
+                    want[2 * m + j] = -B[i, j]
+                    want[2 * m + n + j] = B[i, j]
+            assert row == want
+        point = ([max(v, 0) for v in c] + [max(-v, 0) for v in c]
+                 + [0] * (2 * n))
+        for row, rhs in zip(lp.A, lp.b):
+            assert sum(a * point[j] for j, a in row.items()) == rhs
+
     def test_zero_chain_gives_zero_rhs(self):
         K = fixtures.triangle()
-        lp = assemble_l1(l1_instance(K, [0, 0, 0]))
+        lp = assemble(l1_instance(K, [0, 0, 0]))
         assert all(v == 0 for v in lp.b)
 
     def test_l0_box_adds_bounds(self):
         K = fixtures.triangle()
         inst = l1_instance(K, [1, -1, 0], variant="L0Box")
-        lp = assemble_l0(inst)
+        lp = assemble(inst)
         m = 3
         assert all(lp.upper[i] == 1 for i in range(2 * m))
         assert all(lp.upper[i] is None for i in range(2 * m, lp.num_vars))
@@ -56,7 +75,7 @@ class TestAssembly:
         K = fixtures.triangle()
         inst = l1_instance(K, [1, -1, 1], variant="TotalWeight",
                            y_weights=[Fraction(7)])
-        lp = assemble_total(inst)
+        lp = assemble(inst)
         assert lp.objective[-2:] == [7, 7]
 
     def test_total_weight_zero_y_cost_matches_l1(self):
@@ -85,8 +104,7 @@ class TestSolve:
         c = fixtures.ring_cycle(K, (0, 1, 2))
         inst = l1_instance(K, c)
         sol = solve(inst)
-        B = inst.boundary()
-        by = B.matvec(sol.y_witness)
+        by = boundary_matrix(K, 2).matvec(sol.y_witness)
         assert sol.x_star == [ci + bi for ci, bi in zip(c, by)]
 
     def test_objective_bounded_by_input_chain(self):
@@ -110,19 +128,22 @@ class TestSolve:
                                    weights=[Fraction(5, 3) * wi for wi in w]))
         assert scaled.objective == Fraction(5, 3) * base
 
-    def test_existence_check(self):
-        K = fixtures.cylinder()
-        for c in ([0] * K.count(1),
-                  fixtures.ring_cycle(K, (0, 1, 2)),
-                  [1] + [0] * (K.count(1) - 1)):
-            assert existence_check(l1_instance(K, c))
-
-    def test_chain_round_trip(self):
+    def test_point_violating_homology_identity_is_rejected(self,
+                                                           monkeypatch):
+        # a "solver" that returns x = c but y = 1, so x != c + B y
         K = fixtures.triangle()
-        inst = l1_instance(K, [1, 0, 0])
+        point = [Fraction(v) for v in [1, 0, 0] + [0, 0, 0] + [1] + [0]]
+        bad = LPSolution(status="Optimal", x=point, objective=Fraction(1))
+        monkeypatch.setattr(solver, "simplex_solve", lambda lp: bad)
+        with pytest.raises(AssertionError, match="x = c"):
+            solve(l1_instance(K, [1, 0, 0]))
+
+    def test_top_dimension_chain_is_its_own_optimum(self):
+        K = fixtures.triangle()
+        inst = OHCPInstance(K=K, p=2, c=[-2], weights=[3])
         sol = solve(inst)
-        chain = chain_from_solution(inst, sol)
-        assert chain.to_vector(3) == sol.x_star
+        assert sol.x_star == [-2] and sol.y_witness == []
+        assert sol.objective == 6
 
 
 class TestOracle:
