@@ -6,7 +6,6 @@ p = 1, and the bad minor can only be found by enumeration."""
 import time
 
 from ohcp import fixtures
-from ohcp.complexes import boundary_matrix
 from ohcp.homology import torsion_witness_from_submatrix
 from ohcp.tu import find_mobius_subcomplex, is_tu_minor_enumeration
 
@@ -14,11 +13,10 @@ from ohcp.tu import find_mobius_subcomplex, is_tu_minor_enumeration
 def main():
     K = fixtures.seven_tetrahedra()
     print(f"complex: {K}")
-    B = boundary_matrix(K, 3)
-    print(f"3-boundary matrix: {B.m} x {B.n}")
+    print(f"3-boundary matrix: {K.count(2)} x {K.count(3)}")
 
     t0 = time.time()
-    verdict = is_tu_minor_enumeration(B, col_cap=16)
+    verdict = is_tu_minor_enumeration(K.boundary_columns(3), col_cap=16)
     dt = time.time() - t0
     print(f"\nminor enumeration ({dt:.2f}s): {verdict.status}")
     print(f"  witness minor: rows {verdict.witness_rows}, "

@@ -12,14 +12,14 @@ import sys
 from fractions import Fraction
 
 from . import fileio
-from .complexes import Chain, InputError, NotPseudomanifold, boundary_matrix
+from .complexes import (Chain, InputError, NotPseudomanifold, boundary_matrix,
+                        coface_map)
 from .geometry import weights_from_coordinates
 from .homology import (homology_summary, smith_normal_form,
                        torsion_witness_from_submatrix)
 from .solver import OHCPInstance, brute_force_oracle, solve
-from .tu import (Undecided, find_mobius_subcomplex, heller_tompkins,
-                 is_tu_minor_enumeration, mcm_witness_from_cycle, tu_verdict,
-                 TUVerdict)
+from .tu import (TUVerdict, Undecided, find_mobius_subcomplex, heller_tompkins,
+                 is_tu_minor_enumeration, mobius_verdict, tu_verdict)
 
 EXIT_OK = 0
 EXIT_NONINTEGRAL = 3
@@ -62,24 +62,16 @@ def cmd_tu(args):
     if args.method == "auto":
         verdict = tu_verdict(K, p, col_cap=args.col_cap, budget=args.budget)
     elif args.method == "minors":
-        verdict = is_tu_minor_enumeration(boundary_matrix(K, p + 1),
+        verdict = is_tu_minor_enumeration(K.boundary_columns(p + 1),
                                           col_cap=args.col_cap)
     elif args.method == "ht":
-        res = heller_tompkins(boundary_matrix(K, p + 1).transpose())
+        res = heller_tompkins(coface_map(K, p + 1), K.count(p + 1))
         if res.status != "tu-certified":
             raise Undecided(f"Heller-Tompkins: {res.status} (the condition "
                             "is sufficient only)")
         verdict = TUVerdict("TU", "heller-tompkins")
     else:  # mobius
-        w = find_mobius_subcomplex(K, p + 1, budget=args.budget)
-        if w is None:
-            if p > 1:
-                raise Undecided("no Moebius subcomplex found, but absence is "
-                                f"not conclusive for p = {p} > 1")
-            verdict = TUVerdict("TU", "mobius-search")
-        else:
-            rows, cols, d = mcm_witness_from_cycle(K, w)
-            verdict = TUVerdict("NotTU", "mobius-search", rows, cols, d)
+        verdict = mobius_verdict(K, p + 1, args.budget)
     sys.stdout.write(fileio.verdict_json(verdict))
     return EXIT_OK
 

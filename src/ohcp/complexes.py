@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .matrices import IntMatrix, permutation_sign
+
 
 class InputError(ValueError):
     """Invalid user-supplied data (bad simplex, bad file, bad chain)."""
@@ -17,18 +19,6 @@ class InputError(ValueError):
 
 class NotPseudomanifold(ValueError):
     """Some (q-1)-simplex is a face of three or more q-simplices."""
-
-
-def permutation_sign(vertices) -> int:
-    """Sign of the permutation taking `vertices` to ascending order."""
-    v = list(vertices)
-    n = len(v)
-    inversions = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if v[i] > v[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -45,7 +35,8 @@ class Simplex:
             raise InputError(f"negative vertex id in {verts}")
         if len(set(verts)) != len(verts):
             raise InputError(f"duplicate vertices in simplex {verts}")
-        return cls(tuple(sorted(verts)), permutation_sign(verts))
+        order = sorted(range(len(verts)), key=verts.__getitem__)
+        return cls(tuple(verts[i] for i in order), permutation_sign(order))
 
     @property
     def dim(self) -> int:
@@ -171,9 +162,6 @@ class Chain:
         return not self.coeffs
 
 
-from .matrices import IntMatrix  # noqa: E402  (avoid cycle at import time)
-
-
 def boundary_matrix(K: SimplicialComplex, q: int) -> IntMatrix:
     """Matrix of the boundary operator from q-chains to (q-1)-chains.
 
@@ -234,12 +222,46 @@ def relative_boundary_matrix(K: SimplicialComplex, p: int, L_cols, L0_rows):
 
 
 def coface_map(K: SimplicialComplex, q: int):
-    """For each (q-1)-simplex index, the list of q-simplex indices having it as a face."""
-    cof = [[] for _ in range(K.count(q - 1))]
+    """The signed rows of the q-boundary: for each (q-1)-simplex index, the
+    dict {q-simplex index: +-1} of its cofaces, ascending. These are the
+    columns of the transposed boundary matrix."""
+    rows = [{} for _ in range(K.count(q - 1))]
     for j, col in enumerate(K.boundary_columns(q)):
-        for i in col:
-            cof[i].append(j)
-    return cof
+        for i, sign in col.items():
+            rows[i][j] = sign
+    return rows
+
+
+def parity_coloring(rows, n):
+    """Signs s of the columns 0..n-1 such that s_j a + s_k b = 0 for every
+    sparse row {j: a, k: b} with two +-1 entries, or None if none exist.
+
+    Each row forces s_k = -a b s_j, a parity constraint; the smallest column
+    of each connected component is anchored at +1. Rows with one nonzero
+    constrain nothing; rows with more than two must not occur.
+    """
+    adj = [[] for _ in range(n)]
+    for row in rows:
+        if len(row) == 2:
+            (j, a), (k, b) = row.items()
+            adj[j].append((k, -a * b))
+            adj[k].append((j, -a * b))
+    signs = [0] * n
+    for start in range(n):
+        if signs[start]:
+            continue
+        signs[start] = 1
+        stack = [start]
+        while stack:
+            j = stack.pop()
+            for k, rel in adj[j]:
+                want = rel * signs[j]
+                if not signs[k]:
+                    signs[k] = want
+                    stack.append(k)
+                elif signs[k] != want:
+                    return None
+    return signs
 
 
 def orient_consistently(K: SimplicialComplex, q: int):
@@ -248,29 +270,9 @@ def orient_consistently(K: SimplicialComplex, q: int):
     Requires every (q-1)-simplex to be a face of at most two q-simplices;
     otherwise NotPseudomanifold is raised.
     """
-    B = K.boundary_columns(q)
-    cof = coface_map(K, q)
-    for i, js in enumerate(cof):
-        if len(js) > 2:
+    rows = coface_map(K, q)
+    for i, row in enumerate(rows):
+        if len(row) > 2:
             raise NotPseudomanifold(
-                f"{q - 1}-simplex {K.simplices(q - 1)[i]} has {len(js)} cofaces")
-    n = K.count(q)
-    signs = [0] * n
-    for start in range(n):
-        if signs[start]:
-            continue
-        signs[start] = 1
-        queue = [start]
-        while queue:
-            j = queue.pop()
-            for i, sign in B[j].items():
-                if len(cof[i]) != 2:
-                    continue
-                other = cof[i][0] if cof[i][1] == j else cof[i][1]
-                want = -signs[j] * sign * B[other][i]
-                if signs[other] == 0:
-                    signs[other] = want
-                    queue.append(other)
-                elif signs[other] != want:
-                    return None
-    return signs
+                f"{q - 1}-simplex {K.simplices(q - 1)[i]} has {len(row)} cofaces")
+    return parity_coloring(rows, K.count(q))

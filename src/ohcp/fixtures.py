@@ -1,7 +1,7 @@
 """Named desk-scale complexes used by the tests, the scripts, and the docs."""
 from __future__ import annotations
 
-from .complexes import Chain, SimplicialComplex, build_closure
+from .complexes import SimplicialComplex, build_closure
 
 
 def triangle() -> SimplicialComplex:
@@ -153,8 +153,3 @@ PROJECTIVE_PLANE_B2 = [
     [0, 0, 0, 1, 0, 0, 0, 0, 0, -1],
     [0, 0, 0, -1, 0, 0, 0, 1, 0, 0],
 ]
-
-
-def boundary_cycle_chain(K: SimplicialComplex, ring) -> Chain:
-    vec = ring_cycle(K, ring)
-    return Chain.from_vector(1, vec)

@@ -1,8 +1,8 @@
 """Simplex volumes from vertex coordinates, for Euclidean weight vectors.
 
-Squared p-volumes come out of the Cayley-Menger determinant over exact
-rational squared distances; the only rounding in the whole pipeline is the
-final square root, taken to a configurable denominator.
+Squared p-volumes come out of the Gram determinant of the exact rational
+edge vectors; the only rounding in the whole pipeline is the final square
+root, taken to the nearest multiple of 1/DEFAULT_DENOMINATOR.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ DEFAULT_DENOMINATOR = 10 ** 9
 def squared_volume(points) -> Fraction:
     """Squared p-volume of the simplex on `points` (exact rational).
 
-    vol^2 = (-1)^(p+1) / (2^p (p!)^2) * det CM, with CM the bordered matrix
-    of squared pairwise distances.
+    vol^2 = det G / (p!)^2, with G the Gram matrix of the edge vectors
+    from the first point (for p = 1 the squared length).
     """
     pts = [[Fraction(c) for c in q] for q in points]
     p = len(pts) - 1
@@ -28,20 +28,12 @@ def squared_volume(points) -> Fraction:
     d = len(pts[0])
     if any(len(q) != d for q in pts):
         raise InputError("inconsistent ambient dimensions")
-    if p == 0:
-        return Fraction(1)
-    size = p + 2
-    cm = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(1, size):
-        cm[0][i] = cm[i][0] = Fraction(1)
-    for i in range(p + 1):
-        for j in range(p + 1):
-            cm[i + 1][j + 1] = sum((a - b) ** 2 for a, b in zip(pts[i], pts[j]))
-    # fraction-free determinant after clearing denominators
-    den = math.lcm(*[e.denominator for row in cm for e in row])
-    det = Fraction(det_bareiss([[int(e * den) for e in row] for row in cm]),
-                   den ** size)
-    return det * (-1) ** (p + 1) / (2 ** p * math.factorial(p) ** 2)
+    # every coordinate times den is an integer; det G grows by den^(2p)
+    den = math.lcm(*[c.denominator for q in pts for c in q])
+    ints = [[int(c * den) for c in q] for q in pts]
+    edges = [[a - b for a, b in zip(q, ints[0])] for q in ints[1:]]
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in edges] for u in edges]
+    return Fraction(det_bareiss(gram), (den ** p * math.factorial(p)) ** 2)
 
 
 def rational_sqrt(v: Fraction, denominator_cap: int = DEFAULT_DENOMINATOR) -> Fraction:
@@ -61,8 +53,7 @@ def rational_sqrt(v: Fraction, denominator_cap: int = DEFAULT_DENOMINATOR) -> Fr
     return Fraction(n, D)
 
 
-def weights_from_coordinates(K: SimplicialComplex, coords: dict, p: int,
-                             denominator_cap: int = DEFAULT_DENOMINATOR):
+def weights_from_coordinates(K: SimplicialComplex, coords: dict, p: int):
     """Euclidean p-volume of every p-simplex, in basis order."""
     out = []
     for verts in K.simplices(p):
@@ -73,5 +64,5 @@ def weights_from_coordinates(K: SimplicialComplex, coords: dict, p: int,
         if len(pts[0]) < p:
             raise InputError(f"ambient dimension {len(pts[0])} below simplex "
                              f"dimension {p}")
-        out.append(rational_sqrt(squared_volume(pts), denominator_cap))
+        out.append(rational_sqrt(squared_volume(pts)))
     return out

@@ -166,7 +166,7 @@ def _eliminate_units(rows, n):
     return pivots, rows
 
 
-def _permutation_sign(perm) -> int:
+def permutation_sign(perm) -> int:
     """Sign of a permutation of range(len(perm)), from its cycles."""
     seen = [False] * len(perm)
     sign = 1
@@ -221,8 +221,8 @@ def det_int(M: IntMatrix) -> int:
     core_rows = [i for i, row in enumerate(rows) if row is not None]
     pivot_cols = {c for _, c, _ in pivots}
     core_cols = [j for j in range(M.n) if j not in pivot_cols]
-    sign = (_permutation_sign([r for r, _, _ in pivots] + core_rows)
-            * _permutation_sign([c for _, c, _ in pivots] + core_cols)
+    sign = (permutation_sign([r for r, _, _ in pivots] + core_rows)
+            * permutation_sign([c for _, c, _ in pivots] + core_cols)
             * math.prod(v for _, _, v in pivots))
     return sign * det_bareiss([[rows[i].get(j, 0) for j in core_cols]
                                for i in core_rows])

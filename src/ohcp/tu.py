@@ -6,7 +6,8 @@ Three routes are implemented and cross-checked by the test suite:
     column subsets so each k x k minor is a Laplace expansion of already
     known (k-1) x (k-1) minors;
   * the Heller-Tompkins two-partition condition for matrices with at most
-    two nonzeros per column (applied to the transposed boundary matrix);
+    two nonzeros per column (applied to the signed rows of the boundary,
+    the columns of its transpose);
   * a search for non-orientable cycle complexes, whose relative boundary
     matrices are Moebius cycle matrices of determinant +-2.
 """
@@ -15,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import (InputError, NotPseudomanifold, SimplicialComplex,
-                        boundary_matrix, boundary_submatrix, coface_map,
-                        orient_consistently)
+                        boundary_submatrix, orient_consistently,
+                        parity_coloring)
 from .matrices import IntMatrix, det_int
 
 
@@ -68,15 +69,17 @@ class CycleComplexWitness:
     orientable: bool
 
 
-def _verify_witness(M, rows, cols):
-    d = det_int(M.submatrix(rows, cols))
+def _verify_witness(cols, rows_w, cols_w):
+    d = det_int(IntMatrix([[cols[j].get(i, 0) for j in cols_w]
+                           for i in rows_w]))
     if abs(d) < 2:
         raise AssertionError(f"witness re-verification failed: det={d}")
     return d
 
 
-def is_tu_minor_enumeration(M: IntMatrix, col_cap: int = 16) -> TUVerdict:
-    """Decide TU by checking every square minor, smallest order first.
+def is_tu_minor_enumeration(cols, col_cap: int = 16) -> TUVerdict:
+    """Decide TU of the matrix with sparse columns `cols` ({row: nonzero})
+    by checking every square minor, smallest order first.
 
     Minors of a fixed column subset are expanded along the subset's last
     column from the stored nonzero minors of the prefix subset, so the work
@@ -84,59 +87,55 @@ def is_tu_minor_enumeration(M: IntMatrix, col_cap: int = 16) -> TUVerdict:
     column subset with no nonzero minors is dropped together with its whole
     superset subtree (all those minors are singular).
 
-    Raises Undecided when M has more than `col_cap` columns.
+    Raises Undecided when there are more than `col_cap` columns.
     """
-    if M.n > col_cap:
-        raise Undecided(f"{M.n} columns exceed the cap {col_cap}")
-    for i in range(M.m):
-        for j in range(M.n):
-            if abs(M[i, j]) > 1:
-                return TUVerdict("NotTU", "minor-enumeration",
-                                 [i], [j], M[i, j])
+    n = len(cols)
+    if n > col_cap:
+        raise Undecided(f"{n} columns exceed the cap {col_cap}")
+    big = [(i, j) for j, col in enumerate(cols)
+           for i, v in col.items() if abs(v) > 1]
+    if big:
+        i, j = min(big)     # the first in row-major order
+        return TUVerdict("NotTU", "minor-enumeration", [i], [j], cols[j][i])
     # level[C] maps a row tuple R (|R| = |C|) to the nonzero minor det(R, C)
     level = {(): {(): 1}}
-    kmax = min(M.m, M.n)
-    for k in range(1, kmax + 1):
+    for k in range(1, n + 1):
         nxt = {}
         for parent in sorted(level):
             pminors = level[parent]
             lo = parent[-1] + 1 if parent else 0
-            for c in range(lo, M.n):
-                rows_c = [r for r in range(M.m) if M[r, c] != 0]
-                if not rows_c:
-                    continue
+            for c in range(lo, n):
+                col = cols[c]
                 cand = set()
                 for rp in pminors:
-                    rpset = set(rp)
-                    for r in rows_c:
-                        if r not in rpset:
-                            cand.add(tuple(sorted(rpset | {r})))
+                    for r in col:
+                        if r not in rp:
+                            cand.add(tuple(sorted(rp + (r,))))
                 if not cand:
                     continue
-                cols = parent + (c,)
+                subset = parent + (c,)
                 minors = {}
                 witness = None
                 for R in sorted(cand):
                     det = 0
                     for i, r in enumerate(R):
-                        e = M[r, c]
-                        if e == 0:
-                            continue
-                        pm = pminors.get(R[:i] + R[i + 1:], 0)
-                        if pm:
-                            det += (-1) ** (k - 1 + i) * e * pm
+                        e = col.get(r)
+                        if e:
+                            pm = pminors.get(R[:i] + R[i + 1:])
+                            if pm:
+                                det += (-1) ** (k - 1 + i) * e * pm
                     if det:
                         minors[R] = det
                         if abs(det) > 1 and witness is None:
-                            witness = (list(R), list(cols), det)
+                            witness = (list(R), list(subset), det)
                 if witness is not None:
                     rows_w, cols_w, det_w = witness
-                    if _verify_witness(M, rows_w, cols_w) != det_w:
+                    if _verify_witness(cols, rows_w, cols_w) != det_w:
                         raise AssertionError("witness determinant mismatch")
                     return TUVerdict("NotTU", "minor-enumeration",
                                      rows_w, cols_w, det_w)
                 if minors:
-                    nxt[cols] = minors
+                    nxt[subset] = minors
         if not nxt:
             break
         level = nxt
@@ -149,44 +148,23 @@ class HTResult:
     partition: tuple | None = None    # (rows_in_part_0, rows_in_part_1)
 
 
-def heller_tompkins(M: IntMatrix) -> HTResult:
-    """Heller-Tompkins sufficient condition for matrices with at most two
-    nonzeros per column.
+def heller_tompkins(cols, m: int) -> HTResult:
+    """Heller-Tompkins sufficient condition for the m-row matrix with sparse
+    columns `cols` ({row: nonzero}), each with at most two nonzeros.
 
     Two nonzeros of equal sign in a column force their rows into different
-    partitions; opposite signs force the same partition. This is a parity
-    2-coloring of the rows.
+    partitions; opposite signs force the same partition. This is the parity
+    2-coloring that also orients a pseudomanifold, run on the rows.
     """
-    pairs = []
-    for j in range(M.n):
-        nz = [(i, M[i, j]) for i in range(M.m) if M[i, j] != 0]
-        if len(nz) > 2 or any(abs(v) > 1 for _, v in nz):
+    for col in cols:
+        if len(col) > 2 or any(abs(v) > 1 for v in col.values()):
             return HTResult("inapplicable")
-        if len(nz) == 2:
-            (r, vr), (s, vs) = nz
-            pairs.append((r, s, 1 if vr == vs else 0))  # parity: 1 = differ
-    adj = {}
-    for r, s, par in pairs:
-        adj.setdefault(r, []).append((s, par))
-        adj.setdefault(s, []).append((r, par))
-    color = [None] * M.m
-    for start in range(M.m):
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v, par in adj.get(u, ()):
-                want = color[u] ^ par
-                if color[v] is None:
-                    color[v] = want
-                    stack.append(v)
-                elif color[v] != want:
-                    return HTResult("no-partition")
-    part0 = [i for i in range(M.m) if color[i] == 0]
-    part1 = [i for i in range(M.m) if color[i] == 1]
-    return HTResult("tu-certified", (part0, part1))
+    signs = parity_coloring(cols, m)
+    if signs is None:
+        return HTResult("no-partition")
+    return HTResult("tu-certified",
+                    ([i for i in range(m) if signs[i] == 1],
+                     [i for i in range(m) if signs[i] == -1]))
 
 
 def cycle_matrix_det(k: int, beta: int) -> int:
@@ -395,27 +373,40 @@ def mcm_witness_from_cycle(K: SimplicialComplex, w: CycleComplexWitness):
     return rows, cols, d
 
 
+def mobius_verdict(K: SimplicialComplex, q: int, budget: int) -> TUVerdict:
+    """The Moebius route: NotTU with the minor carved out by the first
+    Moebius complex of q-simplices, else TU, which is conclusive only for
+    q <= 2 (raises Undecided above)."""
+    w = find_mobius_subcomplex(K, q, budget=budget)
+    if w is None:
+        if q > 2:
+            raise Undecided("no Moebius subcomplex found, but absence is "
+                            f"not conclusive for p = {q - 1} > 1")
+        return TUVerdict("TU", "mobius-search")
+    rows, cols, d = mcm_witness_from_cycle(K, w)
+    assert abs(d) >= 2
+    return TUVerdict("NotTU", "mobius-search", rows, cols, d)
+
+
 def tu_verdict(K: SimplicialComplex, p: int, col_cap: int = 16,
                budget: int = 10 ** 6) -> TUVerdict:
     """Decision cascade for total unimodularity of the (p+1)-boundary matrix.
 
     (a) orientable-pseudomanifold shortcut, (b) Moebius-complex search for
     p <= 1 (a full characterization there), (c) capped minor enumeration.
+    For p = 0 the search is skipped: every cycle of edges is orientable, so
+    it could only come back empty (a graph's incidence matrix is TU).
     """
     q = p + 1
     if q > K.dim:
         raise InputError(f"complex has no {q}-simplices")
     try:
-        if all(len(c) <= 2 for c in coface_map(K, q)):
-            if orient_consistently(K, q) is not None:
-                return TUVerdict("TU", "orientable-manifold-shortcut")
+        if orient_consistently(K, q) is not None:
+            return TUVerdict("TU", "orientable-manifold-shortcut")
     except NotPseudomanifold:
         pass
-    if p <= 1:
-        w = find_mobius_subcomplex(K, q, budget=budget)
-        if w is None:
-            return TUVerdict("TU", "mobius-search")
-        rows, cols, d = mcm_witness_from_cycle(K, w)
-        assert abs(d) >= 2
-        return TUVerdict("NotTU", "mobius-search", rows, cols, d)
-    return is_tu_minor_enumeration(boundary_matrix(K, q), col_cap=col_cap)
+    if p == 0:
+        return TUVerdict("TU", "mobius-search")
+    if p == 1:
+        return mobius_verdict(K, q, budget)
+    return is_tu_minor_enumeration(K.boundary_columns(q), col_cap=col_cap)

@@ -35,7 +35,7 @@ def test_acceptance_1_appendix_fixtures():
     assert smith_normal_form(mo).diagonal == [1] * 6
     assert smith_normal_form(S).diagonal == [1, 1, 1, 1, 1, 2]
     for M in (mo, pp):
-        v = is_tu_minor_enumeration(M)
+        v = is_tu_minor_enumeration(M.transpose().sparse_rows())
         assert v.status == "NotTU"
         d = det_int(M.submatrix(v.witness_rows, v.witness_cols))
         assert d == v.witness_det and abs(d) >= 2
@@ -65,7 +65,7 @@ def test_acceptance_3_seven_tetrahedra():
     K = fixtures.seven_tetrahedra()
     B = boundary_matrix(K, 3)
     assert B.shape == (19, 7)
-    v = is_tu_minor_enumeration(B, col_cap=16)
+    v = is_tu_minor_enumeration(B.transpose().sparse_rows(), col_cap=16)
     assert v.status == "NotTU"
     assert len(v.witness_rows) == 7 and len(v.witness_cols) == 7
     assert abs(v.witness_det) == 2
@@ -86,18 +86,21 @@ def test_acceptance_4_orientable_manifolds_tu():
         assert tu_verdict(K, 1).status == "TU"
         B = boundary_matrix(K, 2)
         if check_minors:
-            assert is_tu_minor_enumeration(B).status == "TU"
+            assert is_tu_minor_enumeration(
+                B.transpose().sparse_rows()).status == "TU"
         signs = orient_consistently(K, 2)
         assert signs is not None
         for _ in range(10):
             flips = [rng.choice((1, -1)) for _ in range(B.n)]
             flipped = B.scaled(col_signs=flips)
             if check_minors:
-                assert is_tu_minor_enumeration(flipped).status == "TU"
+                assert is_tu_minor_enumeration(
+                    flipped.transpose().sparse_rows()).status == "TU"
             else:
                 # consistently reorient, then Heller-Tompkins certifies
                 total = [f * s for f, s in zip(flips, signs)]
-                ht = heller_tompkins(flipped.scaled(col_signs=total).transpose())
+                M = flipped.scaled(col_signs=total)
+                ht = heller_tompkins(M.sparse_rows(), M.n)
                 assert ht.status == "tu-certified"
     report(4, "sphere/cylinder/torus are TU and stay TU under 10 random "
               "reorientations each")
@@ -171,7 +174,8 @@ def test_acceptance_8_embedded_complexes_tu():
     """3-complexes embedded in R^3 have TU top boundary matrices."""
     for K in (fixtures.two_tetrahedra(), fixtures.solid_octahedron()):
         B = boundary_matrix(K, 3)
-        assert is_tu_minor_enumeration(B).status == "TU"
+        assert is_tu_minor_enumeration(
+            B.transpose().sparse_rows()).status == "TU"
     report(8, "two glued tetrahedra and the solid octahedron have TU "
               "3-boundary matrices by full minor enumeration")
 

@@ -167,6 +167,70 @@ class TestSolvePipeline:
         assert json.loads(out)["objective"] == "0/1"
 
 
+class TestSparseCascade:
+    """The TU routes read the cached sparse boundary, never a dense one."""
+
+    FIXTURES = ("triangle", "hollow_triangle", "tetrahedron_surface",
+                "disk_fan", "cylinder", "mobius_strip", "projective_plane",
+                "torus", "seven_tetrahedra", "two_tetrahedra",
+                "solid_octahedron")
+
+    @staticmethod
+    def verdicts(tmp_path, capsys, name):
+        """{(p, route): (exit code, TU status or None)} for `tu` with each
+        method and for `torsion-scan`, at every dimension of the fixture;
+        the column cap keeps minor enumeration off the 14-triangle torus,
+        whose nonzero minors take over a gigabyte."""
+        K = getattr(fixtures, name)()
+        scx = tmp_path / f"{name}.scx"
+        scx.write_text(fileio.write_complex(K))
+        out = {}
+        for p in range(K.dim):
+            for route in ("auto", "minors", "ht", "mobius", "torsion-scan"):
+                argv = ["tu", "--method", route] if route != "torsion-scan" \
+                    else [route]
+                code, text, _ = run(capsys, *argv, "--complex", scx,
+                                    "--dim", p, "--col-cap", 10)
+                doc = json.loads(text) if code == 0 else {}
+                out[p, route] = (code, doc.get("verdict", doc).get("status"))
+        return out
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_no_dense_boundary(self, tmp_path, capsys, monkeypatch, name):
+        def dense(*args):
+            raise AssertionError("dense boundary matrix built")
+        for module in ("ohcp.complexes", "ohcp.cli", "ohcp.tu"):
+            monkeypatch.setattr(f"{module}.boundary_matrix", dense,
+                                raising=False)
+        runs = self.verdicts(tmp_path, capsys, name)
+        assert {code for code, _ in runs.values()} <= {0, 5}
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_methods_agree_with_auto(self, tmp_path, capsys, name):
+        runs = self.verdicts(tmp_path, capsys, name)
+        for (p, route), (code, status) in runs.items():
+            assert runs[p, "auto"][0] == 0
+            if code == 0:
+                assert status == runs[p, "auto"][1], (p, route)
+
+    def test_cap_checked_first(self, tmp_path, capsys):
+        scx = tmp_path / "fan.scx"
+        scx.write_text("".join(f"0 1 2 {3 + i}\n" for i in range(40)))
+        code, _, err = run(capsys, "tu", "--complex", scx, "--dim", 2)
+        assert code == 5
+        assert "40 columns exceed the cap 16" in err
+
+    @pytest.mark.parametrize("name", ("cylinder", "torus"))
+    def test_ht_certifies_orientable_surfaces(self, tmp_path, capsys, name):
+        scx = tmp_path / f"{name}.scx"
+        scx.write_text(fileio.write_complex(getattr(fixtures, name)()))
+        code, out, _ = run(capsys, "tu", "--complex", scx, "--dim", 1,
+                           "--method", "ht")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["status"], doc["method"]) == ("TU", "heller-tompkins")
+
+
 def test_start_up_does_not_import_numpy():
     # numpy is imported only by the brute-force oracle that needs it
     src = os.path.dirname(os.path.dirname(ohcp.__file__))

@@ -153,6 +153,13 @@ class TestRelativeBoundary:
 
 
 class TestOrientation:
+    @pytest.mark.parametrize("name", ("triangle", "mobius_strip", "torus",
+                                      "seven_tetrahedra"))
+    def test_coface_rows_are_boundary_rows(self, name):
+        K = getattr(fixtures, name)()
+        for q in range(1, K.dim + 1):
+            assert coface_map(K, q) == boundary_matrix(K, q).sparse_rows()
+
     def test_sphere_orientable(self):
         K = fixtures.tetrahedron_surface()
         signs = orient_consistently(K, 2)

@@ -1,7 +1,10 @@
-"""Cayley-Menger volumes and the single rounding step."""
+"""Gram-determinant volumes and the single rounding step."""
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ohcp import fixtures
 from ohcp.complexes import InputError
@@ -36,6 +39,42 @@ class TestSquaredVolume:
         a = squared_volume([(0, 0), (1, 0), (0, 1)])
         b = squared_volume([(7, -3), (8, -3), (7, -2)])
         assert a == b
+
+
+def cayley_menger_squared_volume(points):
+    """Reference: vol^2 = (-1)^(p+1) / (2^p (p!)^2) det CM, with CM the
+    squared pairwise distances bordered by a row and a column of ones."""
+    p = len(points) - 1
+    cm = [[Fraction(0)] + [Fraction(1)] * (p + 1)]
+    for a in points:
+        cm.append([Fraction(1)] + [sum((Fraction(x) - y) ** 2
+                                       for x, y in zip(a, b))
+                                   for b in points])
+    det = Fraction(1)
+    for t in range(p + 2):     # Gaussian elimination over the rationals
+        r = next((r for r in range(t, p + 2) if cm[r][t]), None)
+        if r is None:
+            return Fraction(0)
+        if r != t:
+            cm[t], cm[r] = cm[r], cm[t]
+            det = -det
+        det *= cm[t][t]
+        for i in range(t + 1, p + 2):
+            f = cm[i][t] / cm[t][t]
+            cm[i] = [x - f * y for x, y in zip(cm[i], cm[t])]
+    return det * (-1) ** (p + 1) / (2 ** p * math.factorial(p) ** 2)
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+class TestGramAgainstCayleyMenger:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3).flatmap(lambda p: st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.lists(rationals, min_size=d, max_size=d),
+                           min_size=p + 1, max_size=p + 1))))
+    def test_equal_rationals(self, points):
+        assert squared_volume(points) == cayley_menger_squared_volume(points)
 
 
 class TestRationalSqrt:

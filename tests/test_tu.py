@@ -34,29 +34,45 @@ small_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 
 class TestMinorEnumeration:
     def test_trivial_not_tu(self):
-        v = is_tu_minor_enumeration(IntMatrix([[1, 1], [-1, 1]]))
+        v = is_tu_minor_enumeration(
+            IntMatrix([[1, 1], [-1, 1]]).transpose().sparse_rows())
         assert v.status == "NotTU" and abs(v.witness_det) == 2
 
     def test_identity_tu(self):
-        assert is_tu_minor_enumeration(IntMatrix.identity(4)).status == "TU"
+        assert is_tu_minor_enumeration(
+            IntMatrix.identity(4).transpose().sparse_rows()).status == "TU"
 
     def test_moebius_fixture_not_tu(self):
-        v = is_tu_minor_enumeration(IntMatrix(fixtures.MOEBIUS_B2))
+        v = is_tu_minor_enumeration(
+            IntMatrix(fixtures.MOEBIUS_B2).transpose().sparse_rows())
         assert v.status == "NotTU"
         assert abs(v.witness_det) == 2
 
     def test_tetrahedron_surface_tu(self):
         B = boundary_matrix(fixtures.tetrahedron_surface(), 2)
-        assert is_tu_minor_enumeration(B).status == "TU"
+        assert is_tu_minor_enumeration(B.transpose().sparse_rows()).status == "TU"
 
     def test_cap_exceeded_raises(self):
         with pytest.raises(Undecided):
-            is_tu_minor_enumeration(IntMatrix.identity(5), col_cap=4)
+            is_tu_minor_enumeration(
+                IntMatrix.identity(5).transpose().sparse_rows(), col_cap=4)
+
+    @pytest.mark.parametrize("M, rows, cols", [
+        (IntMatrix(fixtures.MOEBIUS_B2), [0, 2, 3, 8, 9, 10], list(range(6))),
+        (IntMatrix(fixtures.PROJECTIVE_PLANE_B2), [1, 2, 6, 7, 10],
+         [0, 1, 2, 4, 8]),
+        (boundary_matrix(fixtures.seven_tetrahedra(), 3),
+         [0, 1, 2, 5, 7, 11, 14], list(range(7))),
+    ], ids=("moebius", "projective-plane", "seven-tetrahedra"))
+    def test_pinned_witnesses(self, M, rows, cols):
+        # the first |det| >= 2 minor in enumeration order
+        v = is_tu_minor_enumeration(M.transpose().sparse_rows())
+        assert (v.witness_rows, v.witness_cols, v.witness_det) == (rows, cols, 2)
 
     @settings(max_examples=80, deadline=None)
     @given(small_matrices)
     def test_agrees_with_exhaustive_oracle(self, M):
-        v = is_tu_minor_enumeration(M)
+        v = is_tu_minor_enumeration(M.transpose().sparse_rows())
         assert (v.status == "TU") == exhaustive_tu(M)
 
     @settings(max_examples=60, deadline=None)
@@ -64,14 +80,15 @@ class TestMinorEnumeration:
     def test_sign_scaling_never_changes_verdict(self, M, rnd):
         rs = [rnd.choice((1, -1)) for _ in range(M.m)]
         cs = [rnd.choice((1, -1)) for _ in range(M.n)]
-        a = is_tu_minor_enumeration(M).status
-        b = is_tu_minor_enumeration(M.scaled(rs, cs)).status
+        a = is_tu_minor_enumeration(M.transpose().sparse_rows()).status
+        b = is_tu_minor_enumeration(
+            M.scaled(rs, cs).transpose().sparse_rows()).status
         assert a == b
 
     @settings(max_examples=60, deadline=None)
     @given(small_matrices)
     def test_witness_reverifies(self, M):
-        v = is_tu_minor_enumeration(M)
+        v = is_tu_minor_enumeration(M.transpose().sparse_rows())
         if v.status == "NotTU":
             d = det_int(M.submatrix(v.witness_rows, v.witness_cols))
             assert d == v.witness_det and abs(d) >= 2
@@ -83,22 +100,23 @@ class TestHellerTompkins:
         K = fixtures.cylinder()
         signs = orient_consistently(K, 2)
         B = boundary_matrix(K, 2).scaled(col_signs=signs)
-        assert heller_tompkins(B.transpose()).status == "tu-certified"
+        assert heller_tompkins(B.sparse_rows(), B.n).status == "tu-certified"
 
     def test_moebius_no_partition(self):
         B = boundary_matrix(fixtures.mobius_strip(), 2)
-        assert heller_tompkins(B.transpose()).status == "no-partition"
+        assert heller_tompkins(B.sparse_rows(), B.n).status == "no-partition"
 
     def test_three_nonzeros_inapplicable(self):
         M = IntMatrix([[1], [1], [1]])
-        assert heller_tompkins(M).status == "inapplicable"
+        assert heller_tompkins(M.transpose().sparse_rows(),
+                               M.m).status == "inapplicable"
 
     def test_certified_partition_satisfies_rule(self):
         from ohcp.complexes import orient_consistently
         K = fixtures.cylinder()
         signs = orient_consistently(K, 2)
         M = boundary_matrix(K, 2).scaled(col_signs=signs).transpose()
-        res = heller_tompkins(M)
+        res = heller_tompkins(M.transpose().sparse_rows(), M.m)
         part = [None] * M.m
         for side, rows in enumerate(res.partition):
             for r in rows:
@@ -205,9 +223,27 @@ class TestVerdictCascade:
                   fixtures.projective_plane(), fixtures.disk_fan(5),
                   fixtures.tetrahedron_surface()):
             by_cascade = tu_verdict(K, 1).status
-            by_minors = is_tu_minor_enumeration(boundary_matrix(K, 2),
-                                                col_cap=16).status
+            by_minors = is_tu_minor_enumeration(
+                boundary_matrix(K, 2).transpose().sparse_rows(),
+                col_cap=16).status
             assert by_cascade == by_minors
+
+    def test_graph_needs_no_cycle_search(self):
+        # K9's cycles overrun the budget, but none of them can be a Moebius
+        # complex: every cycle of edges is orientable
+        K = build_closure(itertools.combinations(range(9), 2))
+        with pytest.raises(Undecided):
+            find_mobius_subcomplex(K, 1, budget=20000)
+        v = tu_verdict(K, 0, budget=20000)
+        assert (v.status, v.method) == ("TU", "mobius-search")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 6), min_size=2, max_size=2,
+                             unique=True), min_size=1, max_size=16))
+    def test_graph_cascade_agrees_with_minors(self, edges):
+        K = build_closure(edges)
+        by_minors = is_tu_minor_enumeration(K.boundary_columns(1))
+        assert tu_verdict(K, 0).status == by_minors.status == "TU"
 
     def test_dimension_out_of_range(self):
         with pytest.raises(ValueError):
