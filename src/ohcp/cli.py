@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import fileio
@@ -72,7 +73,7 @@ def cmd_tu(args):
         verdict = TUVerdict("TU", "heller-tompkins")
     else:  # mobius
         verdict = mobius_verdict(K, p + 1, args.budget)
-    sys.stdout.write(fileio.verdict_json(verdict))
+    _emit(asdict(verdict))
     return EXIT_OK
 
 
@@ -92,11 +93,11 @@ def cmd_torsion_scan(args):
     p = args.dim
     verdict = tu_verdict(K, p, col_cap=args.col_cap, budget=args.budget)
     if verdict.status == "TU":
-        _emit({"torsion": False, "verdict": verdict.to_dict()})
+        _emit({"torsion": False, "verdict": asdict(verdict)})
         return EXIT_OK
     w = torsion_witness_from_submatrix(K, p, verdict.witness_rows,
                                        verdict.witness_cols)
-    _emit({"torsion": True, "verdict": verdict.to_dict(),
+    _emit({"torsion": True, "verdict": asdict(verdict),
            "L_cols": w.L_cols, "L0_rows": w.L0_rows,
            "torsion_coefficient": w.torsion_coefficient})
     return EXIT_OK

@@ -38,10 +38,6 @@ class Simplex:
         order = sorted(range(len(verts)), key=verts.__getitem__)
         return cls(tuple(verts[i] for i in order), permutation_sign(order))
 
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
     def faces(self):
         """The (dim-1)-faces with the signs from the boundary formula."""
         out = []
@@ -93,11 +89,6 @@ class SimplicialComplex:
                     for verts in self.simplices_by_dim[q]]
             self._boundary[q] = cols
         return cols
-
-    def __contains__(self, vertices):
-        verts = tuple(sorted(vertices))
-        q = len(verts) - 1
-        return 0 <= q <= self.dim and verts in self.index[q]
 
     def __repr__(self):
         counts = ", ".join(str(len(s)) for s in self.simplices_by_dim)
@@ -154,13 +145,6 @@ class Chain:
             v[i] = c
         return v
 
-    def __eq__(self, other):
-        return (isinstance(other, Chain) and self.dim == other.dim
-                and self.coeffs == other.coeffs)
-
-    def is_zero(self):
-        return not self.coeffs
-
 
 def boundary_matrix(K: SimplicialComplex, q: int) -> IntMatrix:
     """Matrix of the boundary operator from q-chains to (q-1)-chains.
@@ -186,19 +170,6 @@ def boundary_submatrix(K: SimplicialComplex, q: int, rows, cols) -> IntMatrix:
             if i in at:
                 data[at[i]][b] = sign
     return IntMatrix(data)
-
-
-def boundary_of_chain(K: SimplicialComplex, c: Chain) -> Chain:
-    if c.dim < 1:
-        raise InputError("boundary of a chain of dimension < 1")
-    if c.dim > K.dim:
-        raise InputError(f"chain dimension {c.dim} exceeds complex dimension {K.dim}")
-    B = K.boundary_columns(c.dim)
-    vec = [0] * K.count(c.dim - 1)
-    for j, x in enumerate(c.to_vector(K.count(c.dim))):
-        for i, sign in B[j].items():
-            vec[i] += sign * x
-    return Chain.from_vector(c.dim - 1, vec)
 
 
 def relative_boundary_matrix(K: SimplicialComplex, p: int, L_cols, L0_rows):

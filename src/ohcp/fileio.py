@@ -35,18 +35,6 @@ def parse_complex(text: str) -> SimplicialComplex:
     return build_closure(maximal)
 
 
-def write_complex(K: SimplicialComplex) -> str:
-    # every simplex of top dimension plus lower-dimensional maximal ones
-    lines = []
-    for q in range(K.dim, -1, -1):
-        for verts in K.simplices(q):
-            if q == K.dim or not any(set(verts) < set(s)
-                                     for qq in range(q + 1, K.dim + 1)
-                                     for s in K.simplices(qq)):
-                lines.append(" ".join(map(str, verts)))
-    return "\n".join(lines) + "\n"
-
-
 def parse_chain(text: str, K: SimplicialComplex, p: int) -> Chain:
     coeffs = {}
     for lineno, line in _content_lines(text):
@@ -125,10 +113,6 @@ def parse_matrix(text: str) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def write_matrix(M: IntMatrix) -> str:
-    return M.to_text()
-
-
 def solution_summary(sol) -> str:
     """JSON summary of an OHCP solution; all numbers exact."""
     obj = sol.objective
@@ -142,7 +126,3 @@ def solution_summary(sol) -> str:
     if sol.torsion_note:
         doc["note"] = sol.torsion_note
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def verdict_json(verdict) -> str:
-    return json.dumps(verdict.to_dict(), indent=2, sort_keys=True) + "\n"

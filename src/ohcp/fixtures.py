@@ -118,8 +118,8 @@ def solid_octahedron() -> SimplicialComplex:
 
 # Reference boundary matrices of a Moebius strip and a projective plane
 # triangulation, in a fixed edge/triangle numbering that differs from the
-# lexicographic basis above (also shipped as .mat files in ohcp/data).
-# Determinant, SNF, and TU fixtures pin their values against these.
+# lexicographic basis above. Determinant, SNF, and TU tests pin their values
+# against these; `IntMatrix(MOEBIUS_B2).to_text()` is the .mat file form.
 
 MOEBIUS_B2 = [
     [1, 0, 0, 0, 0, 1],

@@ -36,16 +36,16 @@ def squared_volume(points) -> Fraction:
     return Fraction(det_bareiss(gram), (den ** p * math.factorial(p)) ** 2)
 
 
-def rational_sqrt(v: Fraction, denominator_cap: int = DEFAULT_DENOMINATOR) -> Fraction:
+def rational_sqrt(v: Fraction) -> Fraction:
     """Square root of a nonnegative rational; exact when possible, otherwise
-    rounded to the nearest multiple of 1/denominator_cap."""
+    rounded to the nearest multiple of 1/DEFAULT_DENOMINATOR."""
     if v < 0:
         raise ValueError("negative squared volume")
     a, b = v.numerator, v.denominator
     s = math.isqrt(a * b)
     if s * s == a * b:
         return Fraction(s, b)
-    D = denominator_cap
+    D = DEFAULT_DENOMINATOR
     n = math.isqrt(a * D * D // b)
     # round to nearest: compare v against ((n + 1/2)/D)^2
     if 4 * a * D * D > b * (2 * n + 1) ** 2:

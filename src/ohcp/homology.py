@@ -34,10 +34,6 @@ def smith_normal_form(M: IntMatrix) -> SNFResult:
     return SNFResult(diagonal=diagonal, rank=len(diagonal))
 
 
-def has_torsion(r: SNFResult) -> bool:
-    return any(d > 1 for d in r.diagonal)
-
-
 def torsion_coefficients(r: SNFResult):
     return [d for d in r.diagonal if d > 1]
 

@@ -299,10 +299,3 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
                       objective=obj,
                       basis=sorted(bj for bj in tab.basis if bj < n),
                       stats=stats)
-
-
-def verify_vertex_integrality(sol: LPSolution) -> bool:
-    """True iff every coordinate of the solution point is an integer."""
-    if sol.status != "Optimal":
-        raise ValueError("integrality check needs an Optimal solution")
-    return all(v.denominator == 1 for v in sol.x)

@@ -29,14 +29,6 @@ class IntMatrix:
             if len(row) != self.n:
                 raise ValueError("ragged rows")
 
-    @classmethod
-    def zeros(cls, m, n):
-        return cls([[0] * n for _ in range(m)])
-
-    @classmethod
-    def identity(cls, k):
-        return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
@@ -46,13 +38,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.m}x{self.n})"
-
-    @property
-    def shape(self):
-        return (self.m, self.n)
-
-    def col(self, j):
-        return [self.data[i][j] for i in range(self.m)]
 
     def transpose(self):
         return IntMatrix([[self.data[i][j] for i in range(self.m)]
@@ -67,22 +52,6 @@ class IntMatrix:
         cs = col_signs if col_signs is not None else [1] * self.n
         return IntMatrix([[rs[i] * cs[j] * self.data[i][j]
                            for j in range(self.n)] for i in range(self.m)])
-
-    def matvec(self, v):
-        if len(v) != self.n:
-            raise ValueError(f"matvec: expected length {self.n}, got {len(v)}")
-        return [sum(self.data[i][j] * v[j] for j in range(self.n))
-                for i in range(self.m)]
-
-    def matmul(self, other):
-        if self.n != other.m:
-            raise ValueError("matmul: shape mismatch")
-        return IntMatrix([[sum(self.data[i][k] * other.data[k][j]
-                               for k in range(self.n))
-                           for j in range(other.n)] for i in range(self.m)])
-
-    def is_zero(self):
-        return all(all(e == 0 for e in row) for row in self.data)
 
     def sparse_rows(self):
         """Each row as {column: nonzero entry}."""
@@ -323,7 +292,3 @@ def smith_diagonal(rows, n) -> list:
     core = [[row.get(j, 0) for j in cols] for row in live]
     return [1] * len(pivots) + _smith_dense(core)
 
-
-def rank_int(M: IntMatrix) -> int:
-    """Rank over the rationals: unit pivots plus the rank of the core."""
-    return len(smith_diagonal(M.sparse_rows(), M.n))

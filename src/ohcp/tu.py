@@ -13,7 +13,7 @@ Three routes are implemented and cross-checked by the test suite:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import (InputError, NotPseudomanifold, SimplicialComplex,
                         boundary_submatrix, orient_consistently,
@@ -37,29 +37,6 @@ class TUVerdict:
     witness_cols: list | None = None
     witness_det: int | None = None
 
-    def to_dict(self):
-        return {
-            "status": self.status,
-            "method": self.method,
-            "witness_rows": self.witness_rows,
-            "witness_cols": self.witness_cols,
-            "witness_det": self.witness_det,
-        }
-
-
-@dataclass
-class CycleMatrixForm:
-    k: int
-    beta: int                   # +1 or -1
-    row_perm: list              # row_perm[i] = original row placed at position i
-    col_perm: list
-    row_signs: list
-    col_signs: list
-
-    @property
-    def kind(self) -> str:
-        return "CCM" if self.beta == (-1) ** self.k else "MCM"
-
 
 @dataclass
 class CycleComplexWitness:
@@ -77,6 +54,11 @@ def _verify_witness(cols, rows_w, cols_w):
     return d
 
 
+# Nonzero minors one level may hold: the hourglass fixture decides with
+# 1.39 million at order 9; the torus's order-7 level outgrows 1 GB.
+MINOR_CAP = 2_000_000
+
+
 def is_tu_minor_enumeration(cols, col_cap: int = 16) -> TUVerdict:
     """Decide TU of the matrix with sparse columns `cols` ({row: nonzero})
     by checking every square minor, smallest order first.
@@ -87,7 +69,9 @@ def is_tu_minor_enumeration(cols, col_cap: int = 16) -> TUVerdict:
     column subset with no nonzero minors is dropped together with its whole
     superset subtree (all those minors are singular).
 
-    Raises Undecided when there are more than `col_cap` columns.
+    Raises Undecided when there are more than `col_cap` columns, or when
+    the level being built holds more than MINOR_CAP nonzero minors (after
+    each column subset has been searched for a witness).
     """
     n = len(cols)
     if n > col_cap:
@@ -101,6 +85,7 @@ def is_tu_minor_enumeration(cols, col_cap: int = 16) -> TUVerdict:
     level = {(): {(): 1}}
     for k in range(1, n + 1):
         nxt = {}
+        stored = 0
         for parent in sorted(level):
             pminors = level[parent]
             lo = parent[-1] + 1 if parent else 0
@@ -136,6 +121,10 @@ def is_tu_minor_enumeration(cols, col_cap: int = 16) -> TUVerdict:
                                      rows_w, cols_w, det_w)
                 if minors:
                     nxt[subset] = minors
+                    stored += len(minors)
+                    if stored > MINOR_CAP:
+                        raise Undecided(f"more than {MINOR_CAP} nonzero "
+                                        f"{k} x {k} minors to store")
         if not nxt:
             break
         level = nxt
@@ -165,90 +154,6 @@ def heller_tompkins(cols, m: int) -> HTResult:
     return HTResult("tu-certified",
                     ([i for i in range(m) if signs[i] == 1],
                      [i for i in range(m) if signs[i] == -1]))
-
-
-def cycle_matrix_det(k: int, beta: int) -> int:
-    """Determinant of the normal-form k-cycle matrix: 1 + (-1)^(k+1) beta."""
-    if k < 2:
-        raise ValueError("cycle matrices have size k >= 2")
-    if beta not in (1, -1):
-        raise ValueError("beta must be +-1")
-    return 1 + (-1) ** (k + 1) * beta
-
-
-def cycle_matrix_normal_form(k: int, beta: int) -> IntMatrix:
-    """The k x k normal-form cycle matrix with corner entry beta."""
-    if k < 2:
-        raise ValueError("cycle matrices have size k >= 2")
-    data = [[0] * k for _ in range(k)]
-    data[0][0] = 1
-    data[0][k - 1] = beta
-    for i in range(1, k):
-        data[i][i - 1] = 1
-        data[i][i] = 1
-    return IntMatrix(data)
-
-
-def classify_cycle_matrix(C: IntMatrix):
-    """Recognize a cycle matrix up to row/column permutations and sign
-    scalings; returns a CycleMatrixForm or None.
-
-    A cycle matrix has exactly two nonzeros (each +-1) in every row and
-    column, and its bipartite support graph is a single cycle. The corner
-    entry beta equals the product of all nonzero entries, which both
-    scalings and permutations preserve.
-    """
-    k = C.m
-    if C.n != k or k < 2:
-        return None
-    row_nz = [[j for j in range(k) if C[i, j] != 0] for i in range(k)]
-    col_nz = [[i for i in range(k) if C[i, j] != 0] for j in range(k)]
-    if any(len(r) != 2 for r in row_nz) or any(len(c) != 2 for c in col_nz):
-        return None
-    if any(abs(C[i, j]) != 1 for i in range(k) for j in row_nz[i]):
-        return None
-    # walk the support cycle: col_0, row, col, row, ...
-    col_order = [0]
-    row_order = []
-    r = col_nz[0][0]
-    row_order.append(r)
-    while True:
-        c_prev = col_order[-1]
-        c = row_nz[r][0] if row_nz[r][1] == c_prev else row_nz[r][1]
-        if c == col_order[0]:
-            break
-        col_order.append(c)
-        r = col_nz[c][0] if col_nz[c][0] != r else col_nz[c][1]
-        row_order.append(r)
-        if len(col_order) > k:
-            return None
-    if len(col_order) != k or len(row_order) != k:
-        return None  # support splits into several cycles
-    # normal form places row_order[i] at position i+1 (mod k) so that row i
-    # covers columns i-1 and i; solve for signs making all entries 1 except
-    # the corner
-    row_order = row_order[-1:] + row_order[:-1]
-    row_signs = [1] * k
-    col_signs = [1] * k
-    # want sign(row i) * sign(col i-1..i) * entry == 1 for the 2k-1 fixed slots
-    col_signs[0] = 1
-    row_signs[0] = C[row_order[0], col_order[0]]  # makes N[0][0] = 1
-    for i in range(1, k):
-        # N[i][i-1] = 1 fixes row sign from col i-1; N[i][i] = 1 fixes col i
-        row_signs[i] = C[row_order[i], col_order[i - 1]] * col_signs[i - 1]
-        col_signs[i] = C[row_order[i], col_order[i]] * row_signs[i]
-    beta = row_signs[0] * col_signs[k - 1] * C[row_order[0], col_order[k - 1]]
-    form = CycleMatrixForm(k=k, beta=beta, row_perm=row_order,
-                           col_perm=col_order, row_signs=row_signs,
-                           col_signs=col_signs)
-    # paranoid check: applying the permutations/scalings gives the normal form
-    N = cycle_matrix_normal_form(k, beta)
-    for i in range(k):
-        for j in range(k):
-            v = row_signs[i] * col_signs[j] * C[row_order[i], col_order[j]]
-            if v != N[i, j]:
-                return None
-    return form
 
 
 def _cycle_orientable(K: SimplicialComplex, q, cycle, faces) -> bool:

@@ -7,16 +7,17 @@ all tolerances are zero.
 import random
 from fractions import Fraction
 
+from cycle_matrices import (classify_cycle_matrix, cycle_matrix_det,
+                            cycle_matrix_normal_form)
+from helpers import matvec
 from ohcp import fixtures
-from ohcp.complexes import (boundary_matrix, build_closure, coface_map,
-                            orient_consistently)
+from ohcp.complexes import boundary_matrix, orient_consistently
 from ohcp.homology import (smith_normal_form, torsion_coefficients,
                            torsion_witness_from_submatrix)
 from ohcp.matrices import IntMatrix, det_int
 from ohcp.solver import OHCPInstance, brute_force_oracle, solve
-from ohcp.tu import (classify_cycle_matrix, cycle_matrix_det,
-                     cycle_matrix_normal_form, find_mobius_subcomplex,
-                     heller_tompkins, is_tu_minor_enumeration, tu_verdict)
+from ohcp.tu import (find_mobius_subcomplex, heller_tompkins,
+                     is_tu_minor_enumeration, tu_verdict)
 
 
 def report(n, text):
@@ -27,7 +28,7 @@ def test_acceptance_1_appendix_fixtures():
     """Determinants, SNF, and TU verdicts of the two shipped matrices."""
     mo = IntMatrix(fixtures.MOEBIUS_B2)
     pp = IntMatrix(fixtures.PROJECTIVE_PLANE_B2)
-    assert mo.shape == (12, 6) and pp.shape == (15, 10)
+    assert (mo.m, mo.n) == (12, 6) and (pp.m, pp.n) == (15, 10)
     S = mo.submatrix([0, 3, 8, 9, 10, 2], [5, 4, 3, 2, 1, 0])
     assert det_int(S) == -2
     T = pp.submatrix([5, 11, 13, 12, 7], [6, 9, 3, 8, 4])
@@ -64,7 +65,7 @@ def test_acceptance_3_seven_tetrahedra():
     """Non-TU boundary matrix without any 3-dimensional Moebius subcomplex."""
     K = fixtures.seven_tetrahedra()
     B = boundary_matrix(K, 3)
-    assert B.shape == (19, 7)
+    assert (B.m, B.n) == (19, 7)
     v = is_tu_minor_enumeration(B.transpose().sparse_rows(), col_cap=16)
     assert v.status == "NotTU"
     assert len(v.witness_rows) == 7 and len(v.witness_cols) == 7
@@ -122,7 +123,7 @@ def test_acceptance_5_ohcp_integrality_and_optimality():
         inst = OHCPInstance(K=K, p=1, c=c, weights=w, variant="L1")
         sol = solve(inst)
         assert sol.integral
-        by = boundary_matrix(K, 2).matvec(sol.y_witness)
+        by = matvec(boundary_matrix(K, 2), sol.y_witness)
         assert sol.x_star == [ci + bi for ci, bi in zip(c, by)]
         bound = max([abs(v) for v in sol.y_witness] + [1]) + 1
         if (2 * bound + 1) ** n > 10 ** 7:

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import chain_boundary, matmul
 from ohcp import fixtures
 from ohcp.complexes import (Chain, InputError, NotPseudomanifold, Simplex,
-                            boundary_matrix, boundary_of_chain, build_closure,
-                            coface_map, orient_consistently,
-                            relative_boundary_matrix)
+                            boundary_matrix, build_closure, coface_map,
+                            orient_consistently, relative_boundary_matrix)
 from ohcp.matrices import det_int
 
 
@@ -55,7 +55,7 @@ class TestClosure:
             assert level == sorted(level)
             for verts in level:
                 for face, _ in Simplex(tuple(verts)).faces():
-                    assert face in K
+                    assert face in K.index[q - 1]
 
     @settings(max_examples=50)
     @given(simplex_lists, st.randoms(use_true_random=False))
@@ -72,11 +72,11 @@ class TestBoundaryMatrix:
         K = fixtures.triangle()
         B = boundary_matrix(K, 2)
         # rows are edges (0,1),(0,2),(1,2) lexicographically
-        assert B.col(0) == [1, -1, 1]
+        assert [row[0] for row in B.data] == [1, -1, 1]
 
     def test_edge_column(self):
         K = build_closure([[0, 1]])
-        assert boundary_matrix(K, 1).col(0) == [-1, 1]
+        assert [row[0] for row in boundary_matrix(K, 1).data] == [-1, 1]
 
     def test_shared_edge_signs(self):
         # with canonical (ascending) orientations the shared edge appears
@@ -85,14 +85,15 @@ class TestBoundaryMatrix:
         B = boundary_matrix(K, 2)
         i = K.index_of(1, (1, 2))
         assert [B[i, 0], B[i, 1]] == [1, 1]
-        assert boundary_matrix(K, 1).matmul(B).is_zero()
+        assert matmul(boundary_matrix(K, 1), B).data == [[0, 0]] * 4
 
     @settings(max_examples=60)
     @given(simplex_lists)
     def test_boundary_squares_to_zero(self, maximal):
         K = build_closure(maximal)
         for q in range(2, K.dim + 1):
-            assert boundary_matrix(K, q - 1).matmul(boundary_matrix(K, q)).is_zero()
+            P = matmul(boundary_matrix(K, q - 1), boundary_matrix(K, q))
+            assert all(v == 0 for row in P.data for v in row)
 
     @settings(max_examples=60)
     @given(simplex_lists)
@@ -101,7 +102,7 @@ class TestBoundaryMatrix:
         for q in range(1, K.dim + 1):
             B = boundary_matrix(K, q)
             for j in range(B.n):
-                col = B.col(j)
+                col = [row[j] for row in B.data]
                 assert sum(1 for e in col if e != 0) == q + 1
                 assert all(e in (-1, 0, 1) for e in col)
 
@@ -113,19 +114,18 @@ class TestBoundaryMatrix:
 class TestChainBoundary:
     def test_triangle_chain(self):
         K = fixtures.triangle()
-        out = boundary_of_chain(K, Chain(2, {0: 1}))
-        assert out.to_vector(3) == [1, -1, 1]
+        assert chain_boundary(K, Chain(2, {0: 1})) == [1, -1, 1]
 
     def test_zero_chain(self):
         K = fixtures.triangle()
-        assert boundary_of_chain(K, Chain(2, {})).is_zero()
+        assert chain_boundary(K, Chain(2, {})) == [0, 0, 0]
 
     def test_closed_surface_has_zero_boundary(self):
         K = fixtures.tetrahedron_surface()
         signs = orient_consistently(K, 2)
         assert signs is not None
         c = Chain(2, {j: s for j, s in enumerate(signs)})
-        assert boundary_of_chain(K, c).is_zero()
+        assert chain_boundary(K, c) == [0] * K.count(1)
 
 
 class TestRelativeBoundary:
@@ -148,7 +148,7 @@ class TestRelativeBoundary:
         assert len(boundary_edges) == 6
         rel, kept, _ = relative_boundary_matrix(
             K, 1, range(K.count(2)), boundary_edges)
-        assert rel.shape == (6, 6)
+        assert (rel.m, rel.n) == (6, 6)
         assert abs(det_int(rel)) == 2
 
 

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_elimination_reference as ref
+from helpers import matmul
 from ohcp.complexes import boundary_matrix, build_closure
 from ohcp.homology import smith_normal_form
-from ohcp.matrices import IntMatrix, det_int, rank_int
+from ohcp.matrices import IntMatrix, det_int
 
 
 def matrices(entries, max_dim=7):
@@ -32,7 +33,7 @@ def assert_same(M):
     got = smith_normal_form(M)
     assert got.diagonal == want.diagonal
     assert got.rank == want.rank
-    assert rank_int(M) == ref.rank_int(M) == want.rank
+    assert ref.rank_int(M) == want.rank
     if M.m == M.n:
         assert det_int(M) == ref.det_int(M)
 
@@ -87,7 +88,7 @@ class TestDenseReference:
         r = ref.smith_normal_form(M, want_transforms=True)
         assert abs(ref.det_int(r.U)) == 1
         assert abs(ref.det_int(r.V)) == 1
-        P = r.U.matmul(M).matmul(r.V)
+        P = matmul(matmul(r.U, M), r.V)
         for i in range(P.m):
             for j in range(P.n):
                 want = r.diagonal[i] if i == j and i < len(r.diagonal) else 0

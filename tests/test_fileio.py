@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import write_complex
 from ohcp import fileio, fixtures
 from ohcp.complexes import Chain, InputError
 from ohcp.matrices import IntMatrix
@@ -17,12 +18,12 @@ class TestComplexFormat:
 
     def test_round_trip(self):
         K = fixtures.mobius_strip()
-        K2 = fileio.parse_complex(fileio.write_complex(K))
+        K2 = fileio.parse_complex(write_complex(K))
         assert K2.simplices_by_dim == K.simplices_by_dim
 
     def test_lower_dimensional_maximal_simplices_survive(self):
         K = fileio.parse_complex("0 1 2\n5 6\n")
-        K2 = fileio.parse_complex(fileio.write_complex(K))
+        K2 = fileio.parse_complex(write_complex(K))
         assert K2.simplices_by_dim == K.simplices_by_dim
 
     def test_bad_token(self):
@@ -99,15 +100,7 @@ class TestCoordinatesFormat:
 class TestMatrixFormat:
     def test_round_trip(self):
         M = IntMatrix(fixtures.MOEBIUS_B2)
-        assert fileio.parse_matrix(fileio.write_matrix(M)) == M
-
-    def test_shipped_fixtures_match_source(self):
-        import importlib.resources as res
-        pkg = res.files("ohcp") / "data"
-        mo = fileio.parse_matrix((pkg / "moebius_b2.mat").read_text())
-        pp = fileio.parse_matrix((pkg / "prjctvpln_b2.mat").read_text())
-        assert mo == IntMatrix(fixtures.MOEBIUS_B2)
-        assert pp == IntMatrix(fixtures.PROJECTIVE_PLANE_B2)
+        assert fileio.parse_matrix(M.to_text()) == M
 
     def test_header_mismatch(self):
         with pytest.raises(InputError):

@@ -87,12 +87,14 @@ class TestRationalSqrt:
 
     def test_rounded_value_is_close(self):
         v = Fraction(2)
-        s = rational_sqrt(v, denominator_cap=10 ** 6)
-        assert abs(s * s - v) < Fraction(3, 10 ** 6)
+        s = rational_sqrt(v)
+        assert abs(s * s - v) < Fraction(3, 10 ** 9)
 
     def test_round_to_nearest(self):
-        # sqrt(2) = 1.41421356..., cap 100 must give 141/100
-        assert rational_sqrt(Fraction(2), denominator_cap=100) == Fraction(141, 100)
+        # sqrt(2) = 1.4142135623..., sqrt(3) = 1.7320508075...: at the 10^-9
+        # resolution the first rounds down and the second up
+        assert rational_sqrt(Fraction(2)) == Fraction(1414213562, 10 ** 9)
+        assert rational_sqrt(Fraction(3)) == Fraction(1732050808, 10 ** 9)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

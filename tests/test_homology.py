@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ohcp import fixtures
-from ohcp.homology import (has_torsion, homology_summary, smith_normal_form,
+from ohcp.homology import (homology_summary, smith_normal_form,
                            torsion_coefficients,
                            torsion_witness_from_submatrix)
 from ohcp.matrices import IntMatrix, det_int
@@ -27,7 +27,7 @@ class TestSNFBasics:
         assert smith_normal_form(IntMatrix([[2]])).diagonal == [2]
 
     def test_zero_matrix_empty_diagonal(self):
-        r = smith_normal_form(IntMatrix.zeros(3, 2))
+        r = smith_normal_form(IntMatrix([[0] * 2] * 3))
         assert r.diagonal == [] and r.rank == 0
 
     def test_classic_example(self):
@@ -38,7 +38,7 @@ class TestSNFBasics:
     def test_moebius_fixture_is_torsion_free(self):
         r = smith_normal_form(IntMatrix(fixtures.MOEBIUS_B2))
         assert r.diagonal == [1, 1, 1, 1, 1, 1]
-        assert not has_torsion(r)
+        assert torsion_coefficients(r) == []
 
     def test_moebius_submatrix_has_torsion_two(self):
         M = IntMatrix(fixtures.MOEBIUS_B2)

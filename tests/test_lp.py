@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_simplex_reference import simplex_solve as dense_simplex_solve
-from ohcp.lp import LinearProgram, LPSolution, simplex_solve, verify_vertex_integrality
-from ohcp.matrices import IntMatrix, rank_int
+from ohcp.homology import smith_normal_form
+from ohcp.lp import LinearProgram, simplex_solve
+from ohcp.matrices import IntMatrix
 from square_solve import solve_square
 
 
@@ -84,8 +85,8 @@ def random_lp(rng):
         m = rng.randint(1, min(4, n - 1))
         A = [{j: a for j in range(n) if (a := rng.randint(-3, 3))}
              for _ in range(m)]
-        if rank_int(IntMatrix([[row.get(j, 0) for j in range(n)]
-                               for row in A])) < m:
+        if smith_normal_form(IntMatrix([[row.get(j, 0) for j in range(n)]
+                                        for row in A])).rank < m:
             continue
         lower = [Fraction(rng.randint(-2, 0)) for _ in range(n)]
         upper = [lo + rng.randint(1, 4) for lo in lower]
@@ -187,20 +188,16 @@ class TestIntegrality:
                            lower=[-2] * n, upper=[2] * n)
         sol = simplex_solve(lp)
         assert sol.status == "Optimal"
-        assert verify_vertex_integrality(sol)
+        assert all(v.denominator == 1 for v in sol.x)
 
     def test_non_tu_fractional_vertex(self):
         lp = LinearProgram(objective=[1], A=[{0: 2}], b=[1])
         sol = simplex_solve(lp)
-        assert not verify_vertex_integrality(sol)
+        assert not all(v.denominator == 1 for v in sol.x)
 
     def test_zero_solution_is_integral(self):
         lp = LinearProgram(objective=[1, 1], A=[{0: 1, 1: 1}], b=[0])
-        assert verify_vertex_integrality(simplex_solve(lp))
-
-    def test_check_requires_optimal(self):
-        with pytest.raises(ValueError):
-            verify_vertex_integrality(LPSolution(status="Infeasible"))
+        assert all(v.denominator == 1 for v in simplex_solve(lp).x)
 
 
 # Pivot counts (phase 1 including the clean-up of leftover artificials,

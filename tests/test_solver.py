@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import matvec
 from ohcp import fixtures, solver
 from ohcp.complexes import boundary_matrix, build_closure
 from ohcp.lp import LPSolution
@@ -104,7 +105,7 @@ class TestSolve:
         c = fixtures.ring_cycle(K, (0, 1, 2))
         inst = l1_instance(K, c)
         sol = solve(inst)
-        by = boundary_matrix(K, 2).matvec(sol.y_witness)
+        by = matvec(boundary_matrix(K, 2), sol.y_witness)
         assert sol.x_star == [ci + bi for ci, bi in zip(c, by)]
 
     def test_objective_bounded_by_input_chain(self):

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycle_matrices import (classify_cycle_matrix, cycle_matrix_det,
+                            cycle_matrix_normal_form)
+from helpers import identity
 from ohcp import fixtures
 from ohcp.complexes import boundary_matrix, build_closure
 from ohcp.matrices import IntMatrix, det_int
-from ohcp.tu import (Undecided, classify_cycle_matrix, cycle_matrix_det,
-                     cycle_matrix_normal_form, find_mobius_subcomplex,
-                     heller_tompkins, is_tu_minor_enumeration,
-                     mcm_witness_from_cycle, tu_verdict)
+from ohcp.tu import (Undecided, find_mobius_subcomplex, heller_tompkins,
+                     is_tu_minor_enumeration, mcm_witness_from_cycle,
+                     tu_verdict)
 
 
 def exhaustive_tu(M):
@@ -40,7 +42,7 @@ class TestMinorEnumeration:
 
     def test_identity_tu(self):
         assert is_tu_minor_enumeration(
-            IntMatrix.identity(4).transpose().sparse_rows()).status == "TU"
+            identity(4).transpose().sparse_rows()).status == "TU"
 
     def test_moebius_fixture_not_tu(self):
         v = is_tu_minor_enumeration(
@@ -55,7 +57,7 @@ class TestMinorEnumeration:
     def test_cap_exceeded_raises(self):
         with pytest.raises(Undecided):
             is_tu_minor_enumeration(
-                IntMatrix.identity(5).transpose().sparse_rows(), col_cap=4)
+                identity(5).transpose().sparse_rows(), col_cap=4)
 
     @pytest.mark.parametrize("M, rows, cols", [
         (IntMatrix(fixtures.MOEBIUS_B2), [0, 2, 3, 8, 9, 10], list(range(6))),
@@ -166,7 +168,7 @@ class TestCycleMatrices:
         assert form.kind == ("CCM" if beta == (-1) ** k else "MCM")
 
     def test_identity_is_not_a_cycle_matrix(self):
-        assert classify_cycle_matrix(IntMatrix.identity(3)) is None
+        assert classify_cycle_matrix(identity(3)) is None
 
 
 class TestMobiusSearch:
