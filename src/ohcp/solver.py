@@ -136,6 +136,11 @@ def solve(inst: OHCPInstance) -> OHCPSolution:
                         torsion_note=note)
 
 
+# Candidates the oracle holds at once; at m = 12, n = 6 (the Moebius strip)
+# a block peaks at about 6 MB of numpy arrays.
+ORACLE_BLOCK = 1 << 14
+
+
 def brute_force_oracle(inst: OHCPInstance, y_bound: int,
                        budget: int = 10 ** 7) -> OHCPSolution:
     """Exhaustive oracle: try every y in [-y_bound, y_bound]^n.
@@ -143,8 +148,10 @@ def brute_force_oracle(inst: OHCPInstance, y_bound: int,
     Independent of the simplex path; enumeration is vectorized with exact
     integer arithmetic (weights are cleared of denominators first): int64
     when a bound on every |x_i| and objective value fits, else Python ints
-    (dtype=object), so nothing wraps around. Ties are broken by the
-    lexicographically smallest y.
+    (dtype=object), so nothing wraps around. Candidates are taken in
+    lexicographic order of y, ORACLE_BLOCK at a time, so memory does not
+    grow with their number; a later block replaces the best candidate only
+    when strictly better, so ties go to the lexicographically smallest y.
     """
     import numpy as np
 
@@ -168,26 +175,28 @@ def brute_force_oracle(inst: OHCPInstance, y_bound: int,
              + y_bound * sum(v_int) + max(x_max, default=0))
     dtype = np.int64 if bound < np.iinfo(np.int64).max else object
     c = np.array(inst.c, dtype=dtype)
-    if n:
-        Bm = np.array(B, dtype=dtype)
-        rng = np.arange(-y_bound, y_bound + 1).astype(dtype)
-        grids = np.meshgrid(*([rng] * n), indexing="ij")
-        ys = np.stack([g.ravel() for g in grids], axis=1)  # lex order
-        xs = c[None, :] + ys @ Bm.T
-    else:
-        ys = np.zeros((1, 0), dtype=dtype)
-        xs = c[None, :]
-    obj = np.abs(xs) @ np.array(w_int, dtype=dtype)
-    if inst.variant == "TotalWeight":
-        obj = obj + np.abs(ys) @ np.array(v_int, dtype=dtype)
-    if inst.variant == "L0Box":
-        ok = (np.abs(xs) <= 1).all(axis=1)
-        if not ok.any():
-            raise AssertionError("no {-1,0,1} chain found; y_bound too small")
-        obj = np.where(ok, obj, bound + 1)
-    best = int(np.argmin(obj))
-    x = [int(v) for v in xs[best]]
-    y = [int(v) for v in ys[best]]
-    objective = Fraction(int(obj[best]), scale)
+    Bt = np.array(B, dtype=dtype).reshape(m, n).T
+    w_np = np.array(w_int, dtype=dtype)
+    v_np = np.array(v_int, dtype=dtype)
+    base = 2 * y_bound + 1
+    place = base ** np.arange(n - 1, -1, -1)    # y[0] is the slowest digit
+    best = None                 # (scaled objective, x, y)
+    for start in range(0, count, ORACLE_BLOCK):
+        idx = np.arange(start, min(start + ORACLE_BLOCK, count))
+        ys = (idx[:, None] // place % base - y_bound).astype(dtype)
+        xs = c[None, :] + ys @ Bt
+        obj = np.abs(xs) @ w_np
+        if inst.variant == "TotalWeight":
+            obj = obj + np.abs(ys) @ v_np
+        if inst.variant == "L0Box":
+            obj = np.where((np.abs(xs) <= 1).all(axis=1), obj, bound + 1)
+        k = int(np.argmin(obj))
+        if best is None or obj[k] < best[0]:
+            best = (int(obj[k]), [int(v) for v in xs[k]],
+                    [int(v) for v in ys[k]])
+    value, x, y = best
+    if value > bound:
+        raise AssertionError("no {-1,0,1} chain found; y_bound too small")
+    objective = Fraction(value, scale)
     return OHCPSolution(x_star=x, y_witness=y, objective=objective,
                         integral=True, variant=inst.variant)

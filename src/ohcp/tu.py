@@ -4,7 +4,8 @@ Three routes are implemented and cross-checked by the test suite:
 
   * exhaustive minor enumeration with a column cap, done level-by-level over
     column subsets so each k x k minor is a Laplace expansion of already
-    known (k-1) x (k-1) minors;
+    known (k-1) x (k-1) minors, after deleting every row and column with at
+    most one nonzero (free-face collapses, which keep TU and the witness);
   * the Heller-Tompkins two-partition condition for matrices with at most
     two nonzeros per column (applied to the signed rows of the boundary,
     the columns of its transpose);
@@ -54,33 +55,82 @@ def _verify_witness(cols, rows_w, cols_w):
     return d
 
 
-# Nonzero minors one level may hold: the hourglass fixture decides with
-# 1.39 million at order 9; the torus's order-7 level outgrows 1 GB.
+# Nonzero minors one level may hold. The hourglass fixture at dim 1 (21 x 12,
+# reduced to 15 x 12) decides with at most 175,761 at order 8; the torus,
+# which has no line to delete, outgrows 1 GB at order 7 without the cap.
 MINOR_CAP = 2_000_000
+
+
+def _reduce(cols):
+    """Delete every row and column with at most one nonzero among the lines
+    still present, until none is left. Returns the surviving column indices
+    and those columns cut to the surviving rows. Each deletion touches at
+    most one other line, so this costs O(nnz)."""
+    col_rows = [set(col) for col in cols]
+    row_cols = {}
+    for j, col in enumerate(cols):
+        for i in col:
+            row_cols.setdefault(i, set()).add(j)
+    todo = [(True, j) for j in range(len(cols))] + \
+        [(False, i) for i in row_cols]
+    while todo:
+        is_col, k = todo.pop()
+        lines, others = ((col_rows, row_cols) if is_col
+                         else (row_cols, col_rows))
+        line = lines[k]
+        if line is None or len(line) > 1:
+            continue
+        lines[k] = None
+        for o in line:
+            others[o].discard(k)
+            todo.append((not is_col, o))
+    keep = [j for j, rows in enumerate(col_rows) if rows is not None]
+    return keep, [{i: cols[j][i] for i in col_rows[j]} for j in keep]
 
 
 def is_tu_minor_enumeration(cols, col_cap: int = 16) -> TUVerdict:
     """Decide TU of the matrix with sparse columns `cols` ({row: nonzero})
     by checking every square minor, smallest order first.
 
+    An entry with |value| >= 2 is the witness when there is one (the first
+    in row-major order). Otherwise every row and column with at most one
+    nonzero among the lines still present is deleted, to a fixed point, and
+    the minors of what is left are enumerated under the original row and
+    column indices, in the same order as on the whole matrix.
+
+    The reductions keep the verdict and the witness. Call a witness (a
+    square submatrix with |det| >= 2) minimal when no witness of smaller
+    order exists; the enumeration returns the first minimal witness in its
+    order. By induction over the deletions, no line of a minimal witness W
+    of order k >= 2 is deleted: while all of W's lines are present, a
+    deleted line of W has at most one nonzero inside W. With none, det W
+    = 0; with one, it is +-1 (every entry is in {0, +-1}), and the Laplace
+    expansion along the line makes its (k-1) x (k-1) cofactor a witness,
+    against minimality. So the reduced matrix, a submatrix, has the same
+    minimal witnesses and no smaller ones, and the first of them in the
+    enumeration order is the same. A TU matrix has TU submatrices only.
+
     Minors of a fixed column subset are expanded along the subset's last
     column from the stored nonzero minors of the prefix subset, so the work
     per minor is O(k) instead of O(k^3). Only nonzero minors are kept; a
     column subset with no nonzero minors is dropped together with its whole
-    superset subtree (all those minors are singular).
+    superset subtree (all those minors are singular). The witness is
+    re-verified as a determinant of the original columns.
 
-    Raises Undecided when there are more than `col_cap` columns, or when
-    the level being built holds more than MINOR_CAP nonzero minors (after
-    each column subset has been searched for a witness).
+    Raises Undecided when more than `col_cap` columns survive the
+    reductions, or when the level being built holds more than MINOR_CAP
+    nonzero minors (after each column subset has been searched for a
+    witness).
     """
-    n = len(cols)
-    if n > col_cap:
-        raise Undecided(f"{n} columns exceed the cap {col_cap}")
     big = [(i, j) for j, col in enumerate(cols)
            for i, v in col.items() if abs(v) > 1]
     if big:
         i, j = min(big)     # the first in row-major order
         return TUVerdict("NotTU", "minor-enumeration", [i], [j], cols[j][i])
+    keep, cols_r = _reduce(cols)
+    n = len(keep)
+    if n > col_cap:
+        raise Undecided(f"{n} columns exceed the cap {col_cap}")
     # level[C] maps a row tuple R (|R| = |C|) to the nonzero minor det(R, C)
     level = {(): {(): 1}}
     for k in range(1, n + 1):
@@ -90,7 +140,7 @@ def is_tu_minor_enumeration(cols, col_cap: int = 16) -> TUVerdict:
             pminors = level[parent]
             lo = parent[-1] + 1 if parent else 0
             for c in range(lo, n):
-                col = cols[c]
+                col = cols_r[c]
                 cand = set()
                 for rp in pminors:
                     for r in col:
@@ -112,7 +162,8 @@ def is_tu_minor_enumeration(cols, col_cap: int = 16) -> TUVerdict:
                     if det:
                         minors[R] = det
                         if abs(det) > 1 and witness is None:
-                            witness = (list(R), list(subset), det)
+                            witness = (list(R), [keep[c] for c in subset],
+                                       det)
                 if witness is not None:
                     rows_w, cols_w, det_w = witness
                     if _verify_witness(cols, rows_w, cols_w) != det_w:

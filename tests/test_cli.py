@@ -1,4 +1,5 @@
 """End-to-end command-line behaviour, exit codes, and determinism."""
+import itertools
 import json
 import os
 import subprocess
@@ -216,11 +217,24 @@ class TestSparseCascade:
                 assert status == runs[p, "auto"][1], (p, route)
 
     def test_cap_checked_first(self, tmp_path, capsys):
-        scx = tmp_path / "fan.scx"
-        scx.write_text("".join(f"0 1 2 {3 + i}\n" for i in range(40)))
+        # the 3-skeleton of the 6-simplex: 4 cofaces per triangle and 4
+        # faces per tetrahedron, so no line is deleted before the cap
+        scx = tmp_path / "skeleton.scx"
+        scx.write_text("".join(" ".join(map(str, t)) + "\n"
+                               for t in itertools.combinations(range(7), 4)))
         code, _, err = run(capsys, "tu", "--complex", scx, "--dim", 2)
         assert code == 5
-        assert "40 columns exceed the cap 16" in err
+        assert "35 columns exceed the cap 16" in err
+
+    def test_cap_counts_reduced_columns(self, tmp_path, capsys):
+        # 40 tetrahedra on one triangle: every other triangle has one
+        # coface, so the reductions delete every row and column
+        scx = tmp_path / "fan.scx"
+        scx.write_text("".join(f"0 1 2 {3 + i}\n" for i in range(40)))
+        code, out, _ = run(capsys, "tu", "--complex", scx, "--dim", 2)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["status"], doc["method"]) == ("TU", "minor-enumeration")
 
     def test_stored_minors_capped(self, tmp_path, capsys, monkeypatch):
         # 14 columns pass the column cap; the stored minors pass 1 GB

@@ -1,5 +1,6 @@
 """OHCP assembly, exact solve, and oracle agreement."""
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,45 @@ class TestOracle:
         assert sol.integral
         assert all(v in (-1, 0, 1) for v in sol.x_star)
         assert sol.objective == oracle.objective
+
+    def test_memory_does_not_grow_with_candidates(self):
+        # 7**6 = 117649 candidates, which took 34.8 MB when held at once
+        K = fixtures.mobius_strip()
+        c = [1, -1, 0, 1, 0, 0, 0, 1, 0, -1, 0, 1]
+        inst = l1_instance(K, c, weights=[Fraction(k % 4 + 1, 2)
+                                          for k in range(12)])
+        tracemalloc.start()
+        try:
+            oracle = brute_force_oracle(inst, y_bound=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+        assert oracle.objective == solve(inst).objective
+
+    @pytest.mark.parametrize("block", (1, 5, 64))
+    def test_blocks_keep_the_lexicographic_tie_break(self, monkeypatch,
+                                                     block):
+        # ties across block boundaries go to the lexicographically
+        # smallest y, as when all candidates are compared at once
+        rng = random.Random(3)
+        K = fixtures.disk_fan(4)
+        cases = []
+        for variant in ("L1", "L0Box", "TotalWeight"):
+            for _ in range(4):
+                c = [rng.randint(-1, 1) for _ in range(K.count(1))]
+                w = [1] * len(c) if variant == "L0Box" else \
+                    [rng.randint(1, 2) for _ in c]
+                yw = [rng.randint(1, 2) for _ in range(K.count(2))] \
+                    if variant == "TotalWeight" else None
+                cases.append(l1_instance(K, c, weights=w, variant=variant,
+                                         y_weights=yw))
+        whole = [brute_force_oracle(inst, y_bound=1) for inst in cases]
+        monkeypatch.setattr(solver, "ORACLE_BLOCK", block)
+        for inst, want in zip(cases, whole):
+            got = brute_force_oracle(inst, y_bound=1)
+            assert (got.x_star, got.y_witness, got.objective) \
+                == (want.x_star, want.y_witness, want.objective)
 
     def test_huge_weights_do_not_wrap_around(self):
         # 3 * 2**62 exceeds int64; the oracle must match the exact solve
