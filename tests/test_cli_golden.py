@@ -1,0 +1,96 @@
+"""Byte-exact command-line transcripts over every bundled fixture.
+
+For each complex in `ohcp.fixtures` and each dimension a command accepts,
+the exit code, stdout and stderr of `boundary`, `snf` on that boundary's
+.mat text, `tu` by every method, `torsion-scan` and `homology` are compared
+with tests/expected/cli_fixtures.txt. Regenerate that file after a
+deliberate output change with
+
+    PYTHONPATH=src:tests python tests/test_cli_golden.py --write
+"""
+import contextlib
+import io
+import pathlib
+import sys
+import tempfile
+
+from helpers import write_complex
+from ohcp import fixtures
+from ohcp.cli import main
+
+EXPECTED = pathlib.Path(__file__).resolve().parent / "expected" / "cli_fixtures.txt"
+
+COMPLEXES = {
+    "triangle": fixtures.triangle(),
+    "hollow_triangle": fixtures.hollow_triangle(),
+    "tetrahedron_surface": fixtures.tetrahedron_surface(),
+    "disk_fan": fixtures.disk_fan(),
+    "cylinder": fixtures.cylinder(),
+    "mobius_strip": fixtures.mobius_strip(),
+    "projective_plane": fixtures.projective_plane(),
+    "torus": fixtures.torus(),
+    "hourglass": fixtures.hourglass()[0],
+    "seven_tetrahedra": fixtures.seven_tetrahedra(),
+    "two_tetrahedra": fixtures.two_tetrahedra(),
+    "solid_octahedron": fixtures.solid_octahedron(),
+}
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _commands(name, K, scx, mat):
+    """(display argv, argv) pairs; `mat(q)` writes the q-boundary .mat."""
+    for q in range(1, K.dim + 1):
+        yield f"boundary {name} --dim {q}", \
+            ["boundary", "--complex", scx, "--dim", str(q)]
+        yield f"snf {name}.b{q}.mat", ["snf", "--matrix", mat(q)]
+    for p in range(K.dim):
+        for method in ("auto", "ht", "mobius"):
+            yield f"tu {name} --dim {p} --method {method}", \
+                ["tu", "--complex", scx, "--dim", str(p), "--method", method]
+        yield f"tu {name} --dim {p} --method minors --col-cap 10", \
+            ["tu", "--complex", scx, "--dim", str(p), "--method", "minors",
+             "--col-cap", "10"]
+        yield f"torsion-scan {name} --dim {p}", \
+            ["torsion-scan", "--complex", scx, "--dim", str(p)]
+    for p in range(K.dim + 1):
+        yield f"homology {name} --dim {p}", \
+            ["homology", "--complex", scx, "--dim", str(p)]
+
+
+def transcript():
+    parts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        for name, K in COMPLEXES.items():
+            scx = tmp / f"{name}.scx"
+            scx.write_text(write_complex(K))
+
+            def mat(q, name=name, scx=scx):
+                path = tmp / f"{name}.b{q}.mat"
+                _, out, _ = _run(["boundary", "--complex", str(scx),
+                                  "--dim", str(q)])
+                path.write_text(out)
+                return str(path)
+
+            for shown, argv in _commands(name, K, str(scx), mat):
+                code, out, err = _run(argv)
+                parts.append(f"$ ohcp {shown}\nexit {code}\n"
+                             f"--- stdout\n{out}--- stderr\n{err}")
+    return "".join(parts)
+
+
+def test_cli_transcript_matches_expected():
+    assert transcript() == EXPECTED.read_text()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: test_cli_golden.py --write")
+    EXPECTED.parent.mkdir(exist_ok=True)
+    EXPECTED.write_text(transcript())
