@@ -14,12 +14,12 @@ from fractions import Fraction
 
 from . import fileio
 from .complexes import (Chain, InputError, NotPseudomanifold, boundary_matrix,
-                        coface_map)
+                        orient_consistently)
 from .geometry import weights_from_coordinates
 from .homology import (homology_summary, smith_normal_form,
                        torsion_witness_from_submatrix)
 from .solver import OHCPInstance, brute_force_oracle, solve
-from .tu import (TUVerdict, Undecided, find_mobius_subcomplex, heller_tompkins,
+from .tu import (TUVerdict, Undecided, find_mobius_subcomplex,
                  is_tu_minor_enumeration, mobius_verdict, tu_verdict)
 
 EXIT_OK = 0
@@ -34,6 +34,16 @@ def _read(path):
             return f.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read {path}: not UTF-8 text") from None
+
+
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_complex(args):
@@ -46,13 +56,16 @@ def _emit(doc):
 
 def cmd_boundary(args):
     K = _load_complex(args)
-    sys.stdout.write(boundary_matrix(K, args.dim).to_text())
+    rows = boundary_matrix(K, args.dim)
+    lines = [f"{len(rows)} {K.count(args.dim)}"]
+    lines += [" ".join(map(str, row)) for row in rows]
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_snf(args):
-    M = fileio.parse_matrix(_read(args.matrix))
-    res = smith_normal_form(M)
+    rows, n = fileio.parse_matrix(_read(args.matrix))
+    res = smith_normal_form(rows, n)
     sys.stdout.write(" ".join(map(str, res.diagonal)) + "\n")
     return EXIT_OK
 
@@ -66,9 +79,14 @@ def cmd_tu(args):
         verdict = is_tu_minor_enumeration(K.boundary_columns(p + 1),
                                           col_cap=args.col_cap)
     elif args.method == "ht":
-        res = heller_tompkins(coface_map(K, p + 1), K.count(p + 1))
-        if res.status != "tu-certified":
-            raise Undecided(f"Heller-Tompkins: {res.status} (the condition "
+        # a Heller-Tompkins partition of the transpose is an orientation
+        try:
+            signs = orient_consistently(K, p + 1)
+            status = "no-partition" if signs is None else "tu-certified"
+        except NotPseudomanifold:
+            status = "inapplicable"
+        if status != "tu-certified":
+            raise Undecided(f"Heller-Tompkins: {status} (the condition "
                             "is sufficient only)")
         verdict = TUVerdict("TU", "heller-tompkins")
     else:  # mobius
@@ -134,12 +152,10 @@ def _report_solution(args, K, inst, sol):
     summary = fileio.solution_summary(sol)
     sys.stdout.write(summary)
     if args.out:
-        with open(args.out + ".json", "w", encoding="utf-8") as f:
-            f.write(summary)
+        _write(args.out + ".json", summary)
         if sol.integral:
             chain = Chain.from_vector(inst.p, sol.x_star)
-            with open(args.out + ".chn", "w", encoding="utf-8") as f:
-                f.write(fileio.write_chain(K, chain))
+            _write(args.out + ".chn", fileio.write_chain(K, chain))
     if not sol.integral:
         print("warning: fractional optimum; see note in summary",
               file=sys.stderr)

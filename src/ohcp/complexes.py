@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matrices import IntMatrix, permutation_sign
+from .matrices import permutation_sign
 
 
 class InputError(ValueError):
@@ -146,30 +146,32 @@ class Chain:
         return v
 
 
-def boundary_matrix(K: SimplicialComplex, q: int) -> IntMatrix:
-    """Matrix of the boundary operator from q-chains to (q-1)-chains.
+def boundary_matrix(K: SimplicialComplex, q: int):
+    """Dense rows of the boundary operator from q-chains to (q-1)-chains.
 
     Column j holds the coefficients of the boundary of the j-th canonical
-    q-simplex in the (q-1) basis: a dense copy of K.boundary_columns(q).
+    q-simplex in the (q-1) basis: a dense copy of K.boundary_columns(q),
+    for `ohcp boundary` and the brute-force oracle.
     """
     cols = K.boundary_columns(q)
     data = [[0] * len(cols) for _ in range(K.count(q - 1))]
     for j, col in enumerate(cols):
         for i, sign in col.items():
             data[i][j] = sign
-    return IntMatrix(data)
+    return data
 
 
-def boundary_submatrix(K: SimplicialComplex, q: int, rows, cols) -> IntMatrix:
-    """Dense submatrix of the q-boundary on `rows` x `cols`, in that order."""
+def boundary_submatrix(K: SimplicialComplex, q: int, rows, cols):
+    """Sparse rows of the q-boundary cut to `rows` x `cols`, in that order;
+    column b of the result is the simplex cols[b]."""
     B = K.boundary_columns(q)
     at = {i: a for a, i in enumerate(rows)}
-    data = [[0] * len(cols) for _ in at]
+    out = [{} for _ in at]
     for b, j in enumerate(cols):
         for i, sign in B[j].items():
             if i in at:
-                data[at[i]][b] = sign
-    return IntMatrix(data)
+                out[at[i]][b] = sign
+    return out
 
 
 def relative_boundary_matrix(K: SimplicialComplex, p: int, L_cols, L0_rows):
@@ -177,7 +179,8 @@ def relative_boundary_matrix(K: SimplicialComplex, p: int, L_cols, L0_rows):
 
     L is given by (p+1)-simplex column indices, L0 by p-simplex row indices.
     Rows in L0 and rows that are zero on the chosen columns are dropped.
-    Returns (matrix, kept_row_indices, col_indices).
+    Returns (sparse rows, kept_row_indices, col_indices); the rows are over
+    columns 0..len(col_indices)-1.
     """
     B = K.boundary_columns(p + 1)
     cols = sorted(set(L_cols))

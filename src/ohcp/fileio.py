@@ -12,7 +12,6 @@ import json
 from fractions import Fraction
 
 from .complexes import Chain, InputError, Simplex, SimplicialComplex, build_closure
-from .matrices import IntMatrix
 
 
 def _content_lines(text):
@@ -94,7 +93,8 @@ def parse_coordinates(text: str):
     return coords
 
 
-def parse_matrix(text: str) -> IntMatrix:
+def parse_matrix(text: str):
+    """(sparse rows, column count n) of a .mat text."""
     lines = list(_content_lines(text))
     if not lines:
         raise InputError("empty matrix file")
@@ -109,8 +109,8 @@ def parse_matrix(text: str) -> IntMatrix:
         row = _ints(line.split(), lineno, "matrix entries")
         if len(row) != n:
             raise InputError(f"line {lineno}: expected {n} entries")
-        rows.append(row)
-    return IntMatrix(rows)
+        rows.append({j: v for j, v in enumerate(row) if v})
+    return rows, n
 
 
 def solution_summary(sol) -> str:

@@ -119,7 +119,7 @@ def solid_octahedron() -> SimplicialComplex:
 # Reference boundary matrices of a Moebius strip and a projective plane
 # triangulation, in a fixed edge/triangle numbering that differs from the
 # lexicographic basis above. Determinant, SNF, and TU tests pin their values
-# against these; `IntMatrix(MOEBIUS_B2).to_text()` is the .mat file form.
+# against these; in a .mat file each is an "m n" header line, then its rows.
 
 MOEBIUS_B2 = [
     [1, 0, 0, 0, 0, 1],

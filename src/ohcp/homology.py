@@ -1,11 +1,12 @@
-"""Smith normal form over Z, torsion detection, and torsion witnesses."""
+"""Smith normal form over Z, torsion detection, and torsion witnesses, on
+matrices given as sparse rows over columns 0..n-1 (see ohcp.matrices)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .complexes import (InputError, SimplicialComplex, boundary_submatrix,
                         relative_boundary_matrix)
-from .matrices import IntMatrix, det_int, smith_diagonal
+from .matrices import det_int, smith_diagonal
 
 
 @dataclass
@@ -28,9 +29,10 @@ class TorsionWitness:
     torsion_coefficient: int
 
 
-def smith_normal_form(M: IntMatrix) -> SNFResult:
-    """Smith normal form diagonal and rank of M (see matrices.smith_diagonal)."""
-    diagonal = smith_diagonal(M.sparse_rows(), M.n)
+def smith_normal_form(rows, n) -> SNFResult:
+    """Smith normal form diagonal and rank of the matrix with the sparse rows
+    `rows` (consumed) over columns 0..n-1 (see matrices.smith_diagonal)."""
+    diagonal = smith_diagonal(rows, n)
     return SNFResult(diagonal=diagonal, rank=len(diagonal))
 
 
@@ -38,19 +40,19 @@ def torsion_coefficients(r: SNFResult):
     return [d for d in r.diagonal if d > 1]
 
 
-def _boundary_diagonal(K: SimplicialComplex, q: int) -> list:
-    """Invariant factors of the q-boundary. Its cached columns are the rows
-    of its transpose, which has the same invariant factors."""
-    return smith_diagonal([dict(col) for col in K.boundary_columns(q)],
-                          K.count(q - 1))
-
-
 def homology_summary(K: SimplicialComplex, p: int):
-    """(betti_p, torsion coefficients of H_p(K))."""
+    """(betti_p, torsion coefficients of H_p(K)). The cached columns of the
+    q-boundary are the rows of its transpose, which has the same invariant
+    factors; their Smith normal form consumes copies of them."""
     if not 0 <= p <= K.dim:
         raise InputError(f"dimension {p} out of range 0..{K.dim}")
-    rank_dp = len(_boundary_diagonal(K, p)) if p >= 1 else 0
-    up = _boundary_diagonal(K, p + 1) if p < K.dim else []
+    rank_dp, up = 0, []
+    if p >= 1:
+        rank_dp = smith_normal_form([dict(c) for c in K.boundary_columns(p)],
+                                    K.count(p - 1)).rank
+    if p < K.dim:
+        up = smith_normal_form([dict(c) for c in K.boundary_columns(p + 1)],
+                               K.count(p)).diagonal
     torsion = [d for d in up if d > 1]
     return K.count(p) - rank_dp - len(up), torsion
 
@@ -64,17 +66,16 @@ def torsion_witness_from_submatrix(K: SimplicialComplex, p: int, rows, cols) -> 
     """
     rows, cols = sorted(rows), sorted(cols)
     S = boundary_submatrix(K, p + 1, rows, cols)
-    if S.m != S.n:
+    if len(S) != len(cols):
         raise ValueError("witness submatrix must be square")
-    d = det_int(S)
+    d = det_int(S, len(cols))
     if abs(d) <= 1:
         raise ValueError(f"submatrix determinant {d} certifies nothing")
     # rows of the column-restricted matrix that are nonzero but excluded
     B = K.boundary_columns(p + 1)
     L0 = sorted({i for j in cols for i in B[j]}.difference(rows))
-    rel, kept, _ = relative_boundary_matrix(K, p, cols, L0)
-    snf = smith_normal_form(rel)
-    tors = torsion_coefficients(snf)
+    rel, _, _ = relative_boundary_matrix(K, p, cols, L0)
+    tors = torsion_coefficients(smith_normal_form(rel, len(cols)))
     if not tors:
         raise AssertionError("relative boundary matrix unexpectedly torsion-free")
     return TorsionWitness(p=p, L_cols=cols, L0_rows=L0,

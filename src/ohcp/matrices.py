@@ -1,67 +1,20 @@
 """Exact integer matrices and elimination.
 
 Python ints are unbounded, so every determinant, rank and Smith normal form
-here is exact. `IntMatrix` is a small dense matrix. The elimination kernel
-works on sparse rows (`IntMatrix` callers read their matrix into them) and
-first eliminates every +-1 pivot it can, least Markowitz cost first; only
-the core left without unit entries goes to dense code (Bareiss for the
-determinant, a Smith normal form loop for rank and SNF). Boundary matrices
-are almost all unit pivots, so that core is small or empty (Dumas, Saunders
-& Villard, "On efficient sparse integer matrix Smith normal form
+here is exact. A matrix is passed between layers in one form: its sparse
+rows, a list with one dict {column: nonzero int} per row, together with
+the column count n (columns 0..n-1). The elimination kernel works on these
+rows and first eliminates every +-1 pivot it can, least Markowitz cost
+first; only the core left without unit entries goes to dense code (Bareiss
+for the determinant, a Smith normal form loop for rank and SNF). Boundary
+matrices are almost all unit pivots, so that core is small or empty (Dumas,
+Saunders & Villard, "On efficient sparse integer matrix Smith normal form
 computations", JSC 2001).
 """
 from __future__ import annotations
 
 import heapq
 import math
-
-
-class IntMatrix:
-    """An m x n matrix of Python ints, immutable by convention."""
-
-    __slots__ = ("m", "n", "data")
-
-    def __init__(self, data):
-        self.data = [list(map(int, row)) for row in data]
-        self.m = len(self.data)
-        self.n = len(self.data[0]) if self.data else 0
-        for row in self.data:
-            if len(row) != self.n:
-                raise ValueError("ragged rows")
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.data == other.data
-
-    def __repr__(self):
-        return f"IntMatrix({self.m}x{self.n})"
-
-    def transpose(self):
-        return IntMatrix([[self.data[i][j] for i in range(self.m)]
-                          for j in range(self.n)])
-
-    def submatrix(self, rows, cols):
-        return IntMatrix([[self.data[i][j] for j in cols] for i in rows])
-
-    def scaled(self, row_signs=None, col_signs=None):
-        """Copy with rows/columns multiplied by +-1 (reorientation)."""
-        rs = row_signs if row_signs is not None else [1] * self.m
-        cs = col_signs if col_signs is not None else [1] * self.n
-        return IntMatrix([[rs[i] * cs[j] * self.data[i][j]
-                           for j in range(self.n)] for i in range(self.m)])
-
-    def sparse_rows(self):
-        """Each row as {column: nonzero entry}."""
-        return [{j: v for j, v in enumerate(row) if v} for row in self.data]
-
-    def to_text(self):
-        lines = [f"{self.m} {self.n}"]
-        for row in self.data:
-            lines.append(" ".join(str(e) for e in row))
-        return "\n".join(lines) + "\n"
 
 
 def _eliminate_units(rows, n):
@@ -177,19 +130,20 @@ def det_bareiss(a) -> int:
     return sign * a[k - 1][k - 1]
 
 
-def det_int(M: IntMatrix) -> int:
-    """Exact determinant: unit pivots, then Bareiss on the core.
+def det_int(rows, n) -> int:
+    """Exact determinant of the n x n matrix with the sparse rows `rows`
+    (consumed): unit pivots, then Bareiss on the core.
 
     Moving the pivot rows and columns to the front, in elimination order,
     permutes rows and columns; then det M = sign(row permutation) *
     sign(column permutation) * product of the pivots * det(core).
     """
-    if M.m != M.n:
+    if len(rows) != n:
         raise ValueError("determinant of non-square matrix")
-    pivots, rows = _eliminate_units(M.sparse_rows(), M.n)
+    pivots, rows = _eliminate_units(rows, n)
     core_rows = [i for i, row in enumerate(rows) if row is not None]
     pivot_cols = {c for _, c, _ in pivots}
-    core_cols = [j for j in range(M.n) if j not in pivot_cols]
+    core_cols = [j for j in range(n) if j not in pivot_cols]
     sign = (permutation_sign([r for r, _, _ in pivots] + core_rows)
             * permutation_sign([c for _, c, _ in pivots] + core_cols)
             * math.prod(v for _, _, v in pivots))

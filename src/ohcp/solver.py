@@ -168,7 +168,7 @@ def brute_force_oracle(inst: OHCPInstance, y_bound: int,
     w_int = [abs(int(w * scale)) for w in inst.weights]
     v_int = ([abs(int(v * scale)) for v in inst.y_weights]
              if inst.variant == "TotalWeight" else [])
-    B = boundary_matrix(inst.K, inst.p + 1).data if n else []
+    B = boundary_matrix(inst.K, inst.p + 1) if n else []
     row_abs = [sum(abs(e) for e in row) for row in B] if n else [0] * m
     x_max = [abs(ci) + y_bound * r for ci, r in zip(inst.c, row_abs)]
     bound = (sum(w * x for w, x in zip(w_int, x_max))

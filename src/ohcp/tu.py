@@ -6,9 +6,9 @@ Three routes are implemented and cross-checked by the test suite:
     column subsets so each k x k minor is a Laplace expansion of already
     known (k-1) x (k-1) minors, after deleting every row and column with at
     most one nonzero (free-face collapses, which keep TU and the witness);
-  * the Heller-Tompkins two-partition condition for matrices with at most
-    two nonzeros per column (applied to the signed rows of the boundary,
-    the columns of its transpose);
+  * the Heller-Tompkins two-partition condition on the transposed boundary,
+    whose columns have at most two nonzeros exactly on a pseudomanifold:
+    its partition is a consistent orientation (complexes.orient_consistently);
   * a search for non-orientable cycle complexes, whose relative boundary
     matrices are Moebius cycle matrices of determinant +-2.
 """
@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (InputError, NotPseudomanifold, SimplicialComplex,
-                        boundary_submatrix, orient_consistently,
-                        parity_coloring)
-from .matrices import IntMatrix, det_int
+                        boundary_submatrix, orient_consistently)
+from .matrices import det_int
 
 
 class Undecided(Exception):
@@ -48,8 +47,8 @@ class CycleComplexWitness:
 
 
 def _verify_witness(cols, rows_w, cols_w):
-    d = det_int(IntMatrix([[cols[j].get(i, 0) for j in cols_w]
-                           for i in rows_w]))
+    d = det_int([{b: cols[j][i] for b, j in enumerate(cols_w) if i in cols[j]}
+                 for i in rows_w], len(cols_w))
     if abs(d) < 2:
         raise AssertionError(f"witness re-verification failed: det={d}")
     return d
@@ -182,31 +181,6 @@ def is_tu_minor_enumeration(cols, col_cap: int = 16) -> TUVerdict:
     return TUVerdict("TU", "minor-enumeration")
 
 
-@dataclass
-class HTResult:
-    status: str                       # "tu-certified" | "inapplicable" | "no-partition"
-    partition: tuple | None = None    # (rows_in_part_0, rows_in_part_1)
-
-
-def heller_tompkins(cols, m: int) -> HTResult:
-    """Heller-Tompkins sufficient condition for the m-row matrix with sparse
-    columns `cols` ({row: nonzero}), each with at most two nonzeros.
-
-    Two nonzeros of equal sign in a column force their rows into different
-    partitions; opposite signs force the same partition. This is the parity
-    2-coloring that also orients a pseudomanifold, run on the rows.
-    """
-    for col in cols:
-        if len(col) > 2 or any(abs(v) > 1 for v in col.values()):
-            return HTResult("inapplicable")
-    signs = parity_coloring(cols, m)
-    if signs is None:
-        return HTResult("no-partition")
-    return HTResult("tu-certified",
-                    ([i for i in range(m) if signs[i] == 1],
-                     [i for i in range(m) if signs[i] == -1]))
-
-
 def _cycle_orientable(K: SimplicialComplex, q, cycle, faces) -> bool:
     """Propagate orientation signs around a cycle complex."""
     B = K.boundary_columns(q)
@@ -325,7 +299,7 @@ def mcm_witness_from_cycle(K: SimplicialComplex, w: CycleComplexWitness):
     """Rows/cols of the boundary matrix carved out by a Moebius complex."""
     rows = sorted(w.shared_faces)
     cols = sorted(w.simplices)
-    d = det_int(boundary_submatrix(K, w.q, rows, cols))
+    d = det_int(boundary_submatrix(K, w.q, rows, cols), len(cols))
     return rows, cols, d
 
 

@@ -4,7 +4,7 @@ has det 0. The solver never runs this; the tests check the determinant law
 on normal forms and recognize the minor carved out by a Moebius complex."""
 from dataclasses import dataclass
 
-from ohcp.matrices import IntMatrix
+from helpers import IntMatrix
 
 
 @dataclass

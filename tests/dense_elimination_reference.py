@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ohcp.matrices import IntMatrix
+from helpers import IntMatrix
 
 
 @dataclass

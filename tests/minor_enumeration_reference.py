@@ -8,13 +8,13 @@ with no line deleted first. Do not optimise or "fix" this file.
 """
 from __future__ import annotations
 
-from ohcp.matrices import IntMatrix, det_int
+from helpers import IntMatrix, det
 from ohcp.tu import TUVerdict, Undecided
 
 
 def _verify_witness(cols, rows_w, cols_w):
-    d = det_int(IntMatrix([[cols[j].get(i, 0) for j in cols_w]
-                           for i in rows_w]))
+    d = det(IntMatrix([[cols[j].get(i, 0) for j in cols_w]
+                       for i in rows_w]))
     if abs(d) < 2:
         raise AssertionError(f"witness re-verification failed: det={d}")
     return d

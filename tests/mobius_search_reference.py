@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import itertools
 
+from helpers import IntMatrix
 from ohcp.complexes import SimplicialComplex, boundary_matrix
 from ohcp.tu import BudgetExceeded, CycleComplexWitness
 
 
 def _cycle_orientable(K: SimplicialComplex, q, cycle, faces) -> bool:
     """Propagate orientation signs around a cycle complex."""
-    B = boundary_matrix(K, q)
+    B = IntMatrix(boundary_matrix(K, q))
     sign = 1
     k = len(cycle)
     for i in range(k):

@@ -2,7 +2,7 @@
 vertices (tests/test_lp.py enumerates them with it)."""
 from fractions import Fraction
 
-from ohcp.matrices import IntMatrix
+from helpers import IntMatrix
 
 
 def solve_square(A: IntMatrix, b):

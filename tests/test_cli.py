@@ -8,10 +8,10 @@ import sys
 import pytest
 
 import ohcp
-from helpers import write_complex
+from helpers import IntMatrix, write_complex
 from ohcp import fileio, fixtures
 from ohcp.cli import main
-from ohcp.matrices import IntMatrix
+from ohcp.complexes import build_closure
 
 
 @pytest.fixture
@@ -79,6 +79,39 @@ class TestCertification:
         code, _, _ = run(capsys, "tu", "--complex", paths["moebius"],
                          "--dim", "1", "--method", "minors", "--col-cap", "2")
         assert code == 5
+
+
+class TestHellerTompkins:
+    """`tu --method ht`: the Heller-Tompkins partition of the rows of the
+    transposed boundary exists exactly when the complex is an orientable
+    pseudomanifold, and it is then the orientation."""
+
+    @staticmethod
+    def ht(tmp_path, capsys, K):
+        scx = tmp_path / "k.scx"
+        scx.write_text(write_complex(K))
+        return run(capsys, "tu", "--complex", scx, "--dim", "1",
+                   "--method", "ht")
+
+    def test_cylinder_certified(self, tmp_path, capsys):
+        code, out, err = self.ht(tmp_path, capsys, fixtures.cylinder())
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "status": "TU", "method": "heller-tompkins", "witness_rows": None,
+            "witness_cols": None, "witness_det": None}
+
+    def test_moebius_no_partition(self, tmp_path, capsys):
+        assert self.ht(tmp_path, capsys, fixtures.mobius_strip()) == (
+            5, "", "undecided: Heller-Tompkins: no-partition (the condition "
+            "is sufficient only)\n")
+
+    def test_three_nonzeros_inapplicable(self, tmp_path, capsys):
+        # three triangles on one edge: a row of the boundary with three
+        # nonzeros, a column of its transpose outside Heller-Tompkins
+        K = build_closure([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+        assert self.ht(tmp_path, capsys, K) == (
+            5, "", "undecided: Heller-Tompkins: inapplicable (the condition "
+            "is sufficient only)\n")
 
 
 class TestSolvePipeline:
@@ -151,6 +184,28 @@ class TestSolvePipeline:
         code, _, _ = run(capsys, "homology", "--complex",
                          paths["tmp"] / "nope.scx", "--dim", "0")
         assert code == 4
+
+    @pytest.mark.parametrize("flag", ("--complex", "--chain", "--matrix"))
+    def test_non_utf8_file_exit_code(self, paths, capsys, flag):
+        bad = paths["tmp"] / "bad.txt"
+        bad.write_bytes(b"\xff 0 1\n")
+        argv = {"--complex": ("homology", "--complex", bad, "--dim", "0"),
+                "--chain": ("solve", "--complex", paths["triangle"],
+                            "--chain", bad, "--dim", "1"),
+                "--matrix": ("snf", "--matrix", bad)}[flag]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == f"error: cannot read {bad}: not UTF-8 text\n"
+
+    def test_out_in_missing_directory_exit_code(self, paths, capsys):
+        prefix = paths["tmp"] / "missing" / "sol"
+        code, out, err = run(capsys, "solve", "--complex", paths["triangle"],
+                             "--chain", paths["chain"], "--dim", "1",
+                             "--out", prefix)
+        assert code == 4
+        assert json.loads(out)["objective"] == "0/1"
+        assert err == (f"error: cannot write {prefix}.json: "
+                       "No such file or directory\n")
 
     def test_deterministic_output(self, paths, capsys):
         outs = set()

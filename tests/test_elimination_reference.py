@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_elimination_reference as ref
-from helpers import matmul
+from helpers import IntMatrix, det, matmul, snf
 from ohcp.complexes import boundary_matrix, build_closure
-from ohcp.homology import smith_normal_form
-from ohcp.matrices import IntMatrix, det_int
 
 
 def matrices(entries, max_dim=7):
@@ -30,12 +28,12 @@ sparse_unit = matrices(st.sampled_from([0, 0, 0, 0, 1, -1]), max_dim=9)
 
 def assert_same(M):
     want = ref.smith_normal_form(M)
-    got = smith_normal_form(M)
+    got = snf(M)
     assert got.diagonal == want.diagonal
     assert got.rank == want.rank
     assert ref.rank_int(M) == want.rank
     if M.m == M.n:
-        assert det_int(M) == ref.det_int(M)
+        assert det(M) == ref.det_int(M)
 
 
 @st.composite
@@ -47,7 +45,7 @@ def boundary_submatrices(draw):
     simplex = st.lists(st.integers(0, nv - 1), min_size=top + 1,
                        max_size=top + 1, unique=True)
     K = build_closure(draw(st.lists(simplex, min_size=1, max_size=10)))
-    B = boundary_matrix(K, K.dim)
+    B = IntMatrix(boundary_matrix(K, K.dim))
     cols = draw(st.permutations(range(B.n)))
     cols = cols[:draw(st.integers(1, len(cols)))]
     rows = draw(st.permutations(range(B.m)))
@@ -76,9 +74,9 @@ class TestAgainstDenseReference:
         # pivots that land off the diagonal, in both orders, and a core
         M = IntMatrix([[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 3, 0],
                        [0, 0, 2, 5]])
-        assert det_int(M) == ref.det_int(M) == -2
+        assert det(M) == ref.det_int(M) == -2
         M = IntMatrix([[2, 1], [1, -1]])
-        assert det_int(M) == ref.det_int(M) == -3
+        assert det(M) == ref.det_int(M) == -3
 
 
 class TestDenseReference:

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import IntMatrix, det, snf
 from ohcp import fixtures
-from ohcp.homology import (homology_summary, smith_normal_form,
-                           torsion_coefficients,
+from ohcp.homology import (homology_summary, torsion_coefficients,
                            torsion_witness_from_submatrix)
-from ohcp.matrices import IntMatrix, det_int
 
 
 def matrices(max_dim=8, lo=-6, hi=6):
@@ -24,26 +23,26 @@ def matrices(max_dim=8, lo=-6, hi=6):
 
 class TestSNFBasics:
     def test_two_by_one_entry(self):
-        assert smith_normal_form(IntMatrix([[2]])).diagonal == [2]
+        assert snf(IntMatrix([[2]])).diagonal == [2]
 
     def test_zero_matrix_empty_diagonal(self):
-        r = smith_normal_form(IntMatrix([[0] * 2] * 3))
+        r = snf(IntMatrix([[0] * 2] * 3))
         assert r.diagonal == [] and r.rank == 0
 
     def test_classic_example(self):
         # diag(2,4,4) is equivalent to diag(2,4,4) already; a denser case:
         M = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-        assert smith_normal_form(M).diagonal == [2, 2, 156]
+        assert snf(M).diagonal == [2, 2, 156]
 
     def test_moebius_fixture_is_torsion_free(self):
-        r = smith_normal_form(IntMatrix(fixtures.MOEBIUS_B2))
+        r = snf(IntMatrix(fixtures.MOEBIUS_B2))
         assert r.diagonal == [1, 1, 1, 1, 1, 1]
         assert torsion_coefficients(r) == []
 
     def test_moebius_submatrix_has_torsion_two(self):
         M = IntMatrix(fixtures.MOEBIUS_B2)
         S = M.submatrix([0, 3, 8, 9, 10, 2], [5, 4, 3, 2, 1, 0])
-        r = smith_normal_form(S)
+        r = snf(S)
         assert r.diagonal == [1, 1, 1, 1, 1, 2]
         assert torsion_coefficients(r) == [2]
 
@@ -52,7 +51,7 @@ class TestSNFProperties:
     @settings(max_examples=120, deadline=None)
     @given(matrices())
     def test_divisibility_chain(self, M):
-        d = smith_normal_form(M).diagonal
+        d = snf(M).diagonal
         assert all(x >= 1 for x in d)
         assert all(d[i + 1] % d[i] == 0 for i in range(len(d) - 1))
 
@@ -61,21 +60,21 @@ class TestSNFProperties:
     def test_square_nonsingular_product_is_abs_det(self, M):
         if M.m != M.n:
             return
-        det = det_int(M)
-        if det == 0:
+        det_M = det(M)
+        if det_M == 0:
             return
-        d = smith_normal_form(M).diagonal
-        assert math.prod(d) == abs(det)
+        d = snf(M).diagonal
+        assert math.prod(d) == abs(det_M)
 
     @settings(max_examples=40, deadline=None)
     @given(matrices(max_dim=6, lo=-3, hi=3))
     def test_gcd_of_kxk_minors(self, M):
-        d = smith_normal_form(M).diagonal
+        d = snf(M).diagonal
         for k in range(1, min(M.m, M.n, len(d) + 1) + 1):
             g = 0
             for rows in itertools.combinations(range(M.m), k):
                 for cols in itertools.combinations(range(M.n), k):
-                    g = math.gcd(g, det_int(M.submatrix(rows, cols)))
+                    g = math.gcd(g, det(M.submatrix(rows, cols)))
             if k <= len(d):
                 assert g == math.prod(d[:k])
             else:

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_simplex_reference import simplex_solve as dense_simplex_solve
-from ohcp.homology import smith_normal_form
+from helpers import IntMatrix, snf
 from ohcp.lp import LinearProgram, simplex_solve
-from ohcp.matrices import IntMatrix
 from square_solve import solve_square
 
 
@@ -85,8 +84,8 @@ def random_lp(rng):
         m = rng.randint(1, min(4, n - 1))
         A = [{j: a for j in range(n) if (a := rng.randint(-3, 3))}
              for _ in range(m)]
-        if smith_normal_form(IntMatrix([[row.get(j, 0) for j in range(n)]
-                                        for row in A])).rank < m:
+        if snf(IntMatrix([[row.get(j, 0) for j in range(n)]
+                          for row in A])).rank < m:
             continue
         lower = [Fraction(rng.randint(-2, 0)) for _ in range(n)]
         upper = [lo + rng.randint(1, 4) for lo in lower]
@@ -182,7 +181,7 @@ class TestIntegrality:
     def test_tu_system_gives_integral_vertex(self):
         from ohcp.complexes import boundary_matrix
         from ohcp import fixtures
-        B = boundary_matrix(fixtures.tetrahedron_surface(), 2)
+        B = IntMatrix(boundary_matrix(fixtures.tetrahedron_surface(), 2))
         n = B.n
         lp = LinearProgram(objective=[1] * n, A=B.sparse_rows(), b=[0] * B.m,
                            lower=[-2] * n, upper=[2] * n)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import matvec
+from helpers import IntMatrix, matvec
 from ohcp import fixtures, solver
 from ohcp.complexes import boundary_matrix, build_closure
 from ohcp.lp import LPSolution
@@ -41,7 +41,7 @@ class TestAssembly:
         K = fixtures.mobius_strip()
         c = [(1, -1, 0)[i % 3] for i in range(K.count(1))]
         lp = assemble(l1_instance(K, c))
-        B = boundary_matrix(K, 2)
+        B = IntMatrix(boundary_matrix(K, 2))
         m, n = B.m, B.n
         for i, row in enumerate(lp.A):
             want = {i: 1, m + i: -1}
@@ -106,7 +106,7 @@ class TestSolve:
         c = fixtures.ring_cycle(K, (0, 1, 2))
         inst = l1_instance(K, c)
         sol = solve(inst)
-        by = matvec(boundary_matrix(K, 2), sol.y_witness)
+        by = matvec(IntMatrix(boundary_matrix(K, 2)), sol.y_witness)
         assert sol.x_star == [ci + bi for ci, bi in zip(c, by)]
 
     def test_objective_bounded_by_input_chain(self):

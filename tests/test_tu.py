@@ -1,4 +1,5 @@
-"""Total-unimodularity certification: minors, Heller-Tompkins, cycles."""
+"""Total-unimodularity certification: minors and cycles (the
+Heller-Tompkins route is tested through the CLI and orient_consistently)."""
 import itertools
 
 import pytest
@@ -7,11 +8,10 @@ from hypothesis import strategies as st
 
 from cycle_matrices import (classify_cycle_matrix, cycle_matrix_det,
                             cycle_matrix_normal_form)
-from helpers import identity
+from helpers import IntMatrix, det, identity
 from ohcp import fixtures
 from ohcp.complexes import boundary_matrix, build_closure
-from ohcp.matrices import IntMatrix, det_int
-from ohcp.tu import (Undecided, find_mobius_subcomplex, heller_tompkins,
+from ohcp.tu import (Undecided, find_mobius_subcomplex,
                      is_tu_minor_enumeration, mcm_witness_from_cycle,
                      tu_verdict)
 
@@ -21,7 +21,7 @@ def exhaustive_tu(M):
     for k in range(1, min(M.m, M.n) + 1):
         for rows in itertools.combinations(range(M.m), k):
             for cols in itertools.combinations(range(M.n), k):
-                if abs(det_int(M.submatrix(rows, cols))) > 1:
+                if abs(det(M.submatrix(rows, cols))) > 1:
                     return False
     return True
 
@@ -51,7 +51,7 @@ class TestMinorEnumeration:
         assert abs(v.witness_det) == 2
 
     def test_tetrahedron_surface_tu(self):
-        B = boundary_matrix(fixtures.tetrahedron_surface(), 2)
+        B = IntMatrix(boundary_matrix(fixtures.tetrahedron_surface(), 2))
         assert is_tu_minor_enumeration(B.transpose().sparse_rows()).status == "TU"
 
     def test_cap_exceeded_raises(self):
@@ -67,7 +67,7 @@ class TestMinorEnumeration:
         (IntMatrix(fixtures.MOEBIUS_B2), [0, 2, 3, 8, 9, 10], list(range(6))),
         (IntMatrix(fixtures.PROJECTIVE_PLANE_B2), [1, 2, 6, 7, 10],
          [0, 1, 2, 4, 8]),
-        (boundary_matrix(fixtures.seven_tetrahedra(), 3),
+        (IntMatrix(boundary_matrix(fixtures.seven_tetrahedra(), 3)),
          [0, 1, 2, 5, 7, 11, 14], list(range(7))),
     ], ids=("moebius", "projective-plane", "seven-tetrahedra"))
     def test_pinned_witnesses(self, M, rows, cols):
@@ -96,45 +96,8 @@ class TestMinorEnumeration:
     def test_witness_reverifies(self, M):
         v = is_tu_minor_enumeration(M.transpose().sparse_rows())
         if v.status == "NotTU":
-            d = det_int(M.submatrix(v.witness_rows, v.witness_cols))
+            d = det(M.submatrix(v.witness_rows, v.witness_cols))
             assert d == v.witness_det and abs(d) >= 2
-
-
-class TestHellerTompkins:
-    def test_cylinder_certified(self):
-        from ohcp.complexes import orient_consistently
-        K = fixtures.cylinder()
-        signs = orient_consistently(K, 2)
-        B = boundary_matrix(K, 2).scaled(col_signs=signs)
-        assert heller_tompkins(B.sparse_rows(), B.n).status == "tu-certified"
-
-    def test_moebius_no_partition(self):
-        B = boundary_matrix(fixtures.mobius_strip(), 2)
-        assert heller_tompkins(B.sparse_rows(), B.n).status == "no-partition"
-
-    def test_three_nonzeros_inapplicable(self):
-        M = IntMatrix([[1], [1], [1]])
-        assert heller_tompkins(M.transpose().sparse_rows(),
-                               M.m).status == "inapplicable"
-
-    def test_certified_partition_satisfies_rule(self):
-        from ohcp.complexes import orient_consistently
-        K = fixtures.cylinder()
-        signs = orient_consistently(K, 2)
-        M = boundary_matrix(K, 2).scaled(col_signs=signs).transpose()
-        res = heller_tompkins(M.transpose().sparse_rows(), M.m)
-        part = [None] * M.m
-        for side, rows in enumerate(res.partition):
-            for r in rows:
-                part[r] = side
-        for j in range(M.n):
-            nz = [(i, M[i, j]) for i in range(M.m) if M[i, j] != 0]
-            if len(nz) == 2:
-                (r, vr), (s, vs) = nz
-                if part[r] == part[s]:
-                    assert vr == -vs
-                else:
-                    assert vr == vs
 
 
 class TestCycleMatrices:
@@ -143,9 +106,9 @@ class TestCycleMatrices:
         mcm_beta = (-1) ** (k + 1)
         assert abs(cycle_matrix_det(k, mcm_beta)) == 2
         assert cycle_matrix_det(k, -mcm_beta) == 0
-        assert det_int(cycle_matrix_normal_form(k, mcm_beta)) == \
+        assert det(cycle_matrix_normal_form(k, mcm_beta)) == \
             cycle_matrix_det(k, mcm_beta)
-        assert det_int(cycle_matrix_normal_form(k, -mcm_beta)) == 0
+        assert det(cycle_matrix_normal_form(k, -mcm_beta)) == 0
 
     @pytest.mark.parametrize("k", range(2, 9))
     @pytest.mark.parametrize("beta", (1, -1))
@@ -201,7 +164,7 @@ class TestMobiusSearch:
         K = fixtures.projective_plane()
         w = find_mobius_subcomplex(K, 2)
         assert w is not None and not w.orientable
-        B = boundary_matrix(K, 2)
+        B = IntMatrix(boundary_matrix(K, 2))
         S = B.submatrix(sorted(w.shared_faces), sorted(w.simplices))
         form = classify_cycle_matrix(S)
         assert form is not None and form.kind == "MCM"
@@ -230,7 +193,7 @@ class TestVerdictCascade:
                   fixtures.tetrahedron_surface()):
             by_cascade = tu_verdict(K, 1).status
             by_minors = is_tu_minor_enumeration(
-                boundary_matrix(K, 2).transpose().sparse_rows(),
+                IntMatrix(boundary_matrix(K, 2)).transpose().sparse_rows(),
                 col_cap=16).status
             assert by_cascade == by_minors
 
