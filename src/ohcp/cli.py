@@ -18,7 +18,7 @@ from .complexes import (Chain, InputError, NotPseudomanifold, boundary_matrix,
 from .geometry import weights_from_coordinates
 from .homology import (homology_summary, smith_normal_form,
                        torsion_witness_from_submatrix)
-from .solver import OHCPInstance, brute_force_oracle, solve
+from .solver import OHCPInstance, solve
 from .tu import (TUVerdict, Undecided, find_mobius_subcomplex,
                  is_tu_minor_enumeration, mobius_verdict, tu_verdict)
 
@@ -142,36 +142,27 @@ def _build_instance(args):
             raise InputError("TotalWeight needs --y-weights")
         y_weights = fileio.parse_weights(_read(args.y_weights), K, p + 1)
     try:
-        return K, OHCPInstance(K=K, p=p, c=c, weights=weights,
-                               variant=variant, y_weights=y_weights)
+        return OHCPInstance(K=K, p=p, c=c, weights=weights, variant=variant,
+                            y_weights=y_weights)
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
 
-def _report_solution(args, K, inst, sol):
+def cmd_solve(args):
+    inst = _build_instance(args)
+    sol = solve(inst)
     summary = fileio.solution_summary(sol)
     sys.stdout.write(summary)
     if args.out:
         _write(args.out + ".json", summary)
         if sol.integral:
             chain = Chain.from_vector(inst.p, sol.x_star)
-            _write(args.out + ".chn", fileio.write_chain(K, chain))
+            _write(args.out + ".chn", fileio.write_chain(inst.K, chain))
     if not sol.integral:
         print("warning: fractional optimum; see note in summary",
               file=sys.stderr)
         return EXIT_NONINTEGRAL
     return EXIT_OK
-
-
-def cmd_solve(args):
-    K, inst = _build_instance(args)
-    return _report_solution(args, K, inst, solve(inst))
-
-
-def cmd_oracle(args):
-    K, inst = _build_instance(args)
-    sol = brute_force_oracle(inst, args.y_bound, budget=args.budget)
-    return _report_solution(args, K, inst, sol)
 
 
 def cmd_homology(args):
@@ -212,18 +203,13 @@ def build_parser():
     add("mobius-scan", cmd_mobius_scan, complex=True, dim=True, caps=True)
     add("torsion-scan", cmd_torsion_scan, complex=True, dim=True, caps=True)
 
-    for name, fn in (("solve", cmd_solve), ("oracle", cmd_oracle)):
-        p = add(name, fn, complex=True, dim=True)
-        p.add_argument("--chain", required=True, metavar="c.chn")
-        p.add_argument("--weights", metavar="w.wts")
-        p.add_argument("--coords", metavar="pts.xyz")
-        p.add_argument("--variant", choices=("l1", "l0", "total"),
-                       default="l1")
-        p.add_argument("--y-weights", metavar="v.wts")
-        p.add_argument("--out", metavar="PREFIX")
-        if name == "oracle":
-            p.add_argument("--y-bound", type=int, required=True)
-            p.add_argument("--budget", type=int, default=10 ** 7)
+    p = add("solve", cmd_solve, complex=True, dim=True)
+    p.add_argument("--chain", required=True, metavar="c.chn")
+    p.add_argument("--weights", metavar="w.wts")
+    p.add_argument("--coords", metavar="pts.xyz")
+    p.add_argument("--variant", choices=("l1", "l0", "total"), default="l1")
+    p.add_argument("--y-weights", metavar="v.wts")
+    p.add_argument("--out", metavar="PREFIX")
 
     add("homology", cmd_homology, complex=True, dim=True)
     return ap

@@ -151,7 +151,7 @@ def boundary_matrix(K: SimplicialComplex, q: int):
 
     Column j holds the coefficients of the boundary of the j-th canonical
     q-simplex in the (q-1) basis: a dense copy of K.boundary_columns(q),
-    for `ohcp boundary` and the brute-force oracle.
+    for `ohcp boundary`.
     """
     cols = K.boundary_columns(q)
     data = [[0] * len(cols) for _ in range(K.count(q - 1))]

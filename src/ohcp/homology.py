@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (InputError, SimplicialComplex, boundary_submatrix,
-                        relative_boundary_matrix)
-from .matrices import det_int, smith_diagonal
+from .complexes import InputError, SimplicialComplex, relative_boundary_matrix
+from .matrices import smith_diagonal
 
 
 @dataclass
@@ -62,21 +61,19 @@ def torsion_witness_from_submatrix(K: SimplicialComplex, p: int, rows, cols) -> 
     (L, L0) pair whose relative homology has torsion.
 
     L is spanned by the (p+1)-simplices of `cols`; L0 consists of the
-    p-faces of L that are not in `rows`.
+    p-faces of L that are not in `rows`. The relative boundary matrix of
+    the pair is then the submatrix itself, and |det| is the product of its
+    invariant factors, so one Smith normal form checks both.
     """
-    rows, cols = sorted(rows), sorted(cols)
-    S = boundary_submatrix(K, p + 1, rows, cols)
-    if len(S) != len(cols):
-        raise ValueError("witness submatrix must be square")
-    d = det_int(S, len(cols))
-    if abs(d) <= 1:
-        raise ValueError(f"submatrix determinant {d} certifies nothing")
-    # rows of the column-restricted matrix that are nonzero but excluded
     B = K.boundary_columns(p + 1)
     L0 = sorted({i for j in cols for i in B[j]}.difference(rows))
-    rel, _, _ = relative_boundary_matrix(K, p, cols, L0)
-    tors = torsion_coefficients(smith_normal_form(rel, len(cols)))
-    if not tors:
-        raise AssertionError("relative boundary matrix unexpectedly torsion-free")
+    S, kept, cols = relative_boundary_matrix(K, p, cols, L0)
+    if kept != sorted(rows) or len(kept) != len(cols):
+        raise ValueError("witness submatrix must be square, with no zero row")
+    snf = smith_normal_form(S, len(cols))
+    tors = torsion_coefficients(snf)
+    if snf.rank != len(cols) or not tors:
+        raise ValueError(f"witness submatrix with invariant factors "
+                         f"{snf.diagonal} certifies nothing")
     return TorsionWitness(p=p, L_cols=cols, L0_rows=L0,
                           torsion_coefficient=max(tors))

@@ -77,6 +77,7 @@ class LPSolution:
     objective: Fraction = None
     basis: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)  # pivot and bound-flip counts
+    duals: list = None               # Fractions, length M; Optimal only
 
 
 def _exact(v):
@@ -104,6 +105,18 @@ def _div(a, b):
     return _exact(a / b)
 
 
+def _bland(d, movable, status):
+    """Bland's rule: the lowest-index improving column and its direction (1
+    up from its lower bound, -1 down from its upper), or None if none."""
+    for j, dj in enumerate(d):
+        if dj and movable[j]:
+            if dj < 0 and status[j] == _AT_LOWER:
+                return j, 1
+            if dj > 0 and status[j] == _AT_UPPER:
+                return j, -1
+    return None
+
+
 class _Tableau:
     """Bounded-variable simplex state over sparse rows of B^{-1} [A | I]."""
 
@@ -116,6 +129,7 @@ class _Tableau:
         self.status = status        # _AT_LOWER/_AT_UPPER; None when basic
         self.pivots = 0
         self.bound_flips = 0
+        self.d = None               # reduced costs of the last minimize
 
     def point(self, n):
         x = [self.lower[j] if self.status[j] == _AT_LOWER else self.upper[j]
@@ -172,7 +186,7 @@ class _Tableau:
         rows, basis, beta = self.rows, self.basis, self.beta
         lower, upper, status = self.lower, self.upper, self.status
         # reduced costs d = cost - c_B B^{-1} [A | I], kept current below
-        d = list(cost)
+        self.d = d = list(cost)
         for r, row in enumerate(rows):
             cr = cost[basis[r]]
             if cr:
@@ -181,17 +195,10 @@ class _Tableau:
         # a fixed variable can never improve
         movable = [up is None or lo != up for lo, up in zip(lower, upper)]
         while True:
-            # Bland: the lowest-index improving column enters
-            for j, dj in enumerate(d):
-                if dj and movable[j]:
-                    if dj < 0 and status[j] == _AT_LOWER:
-                        direction = 1
-                        break
-                    if dj > 0 and status[j] == _AT_UPPER:
-                        direction = -1
-                        break
-            else:
+            entering = _bland(d, movable, status)
+            if entering is None:
                 return "Optimal"
+            j, direction = entering
             col = self.column(j)
             # ratio test: how far can x_j move in `direction`; ties go to
             # the lowest-index leaving variable
@@ -242,7 +249,16 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
     """Two-phase exact simplex; every Optimal result is a vertex with
     A x = b satisfied exactly. `stats` counts the pivots of each phase
     (phase 1 includes driving leftover artificials out of the basis) and
-    the bound flips of both."""
+    the bound flips of both.
+
+    Every Optimal result proves itself by a dual certificate. Phase 2
+    prices with scale * f; the artificial columns of its final tableau hold
+    the row operations G, so their reduced costs are -pi, pi = c_B G. The
+    check recomputes r = scale * f - A'pi from A's nonzeros and demands
+    lower <= x <= upper, x_j = lower_j where r_j > 0 and x_j = upper_j where
+    r_j < 0. Then for any feasible x', scale * f x' = pi b + r x' >=
+    pi b + r x = scale * f x, so x is optimal. `duals` is pi / scale.
+    """
     m, n = lp.num_constraints, lp.num_vars
     lower = [_exact(v) for v in lp.lower] + [0] * m
     upper = [None if v is None else _exact(v) for v in lp.upper] + [None] * m
@@ -294,8 +310,20 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
     for row, rhs in zip(lp.A, lp.b):
         if sum(a * x[j] for j, a in row.items()) != rhs:
             raise AssertionError("simplex returned a point with A x != b")
+    # dual certificate, in the integers phase 2 prices with
+    pi = [-v for v in tab.d[n:]]
+    r = phase2_cost[:n]
+    for row, p in zip(lp.A, pi):
+        if p:
+            for j, a in row.items():
+                r[j] -= a * p
+    for v, lo, up, rj in zip(x, lower, upper, r):
+        if v < lo or (up is not None and v > up):
+            raise AssertionError("simplex returned a point outside its bounds")
+        if (rj > 0 and v != lo) or (rj < 0 and v != up):
+            raise AssertionError("simplex optimum fails its dual certificate")
     obj = Fraction(sum(lp.objective[j] * v for j, v in enumerate(x) if v))
     return LPSolution(status="Optimal", x=[Fraction(v) for v in x],
                       objective=obj,
                       basis=sorted(bj for bj in tab.basis if bj < n),
-                      stats=stats)
+                      stats=stats, duals=[Fraction(p, scale) for p in pi])

@@ -7,6 +7,7 @@ all tolerances are zero.
 import random
 from fractions import Fraction
 
+from brute_force_oracle import brute_force_oracle
 from cycle_matrices import (classify_cycle_matrix, cycle_matrix_det,
                             cycle_matrix_normal_form)
 from helpers import IntMatrix, det, matvec, snf
@@ -15,7 +16,7 @@ from ohcp.complexes import (boundary_matrix, orient_consistently,
                             parity_coloring)
 from ohcp.homology import (smith_normal_form, torsion_coefficients,
                            torsion_witness_from_submatrix)
-from ohcp.solver import OHCPInstance, brute_force_oracle, solve
+from ohcp.solver import OHCPInstance, solve
 from ohcp.tu import (find_mobius_subcomplex, is_tu_minor_enumeration,
                      tu_verdict)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dense_simplex_reference import simplex_solve as dense_simplex_solve
 from helpers import IntMatrix, snf
+from ohcp import lp as lp_module
 from ohcp.lp import LinearProgram, simplex_solve
 from square_solve import solve_square
 
@@ -347,3 +348,40 @@ class TestAgainstDenseReference:
     def test_beale_matches(self):
         lp = beale_lp()
         assert same_outcome(simplex_solve(lp), reference_solve(lp))
+
+
+class TestDualCertificate:
+    def test_early_stop_fails_the_certificate(self, monkeypatch):
+        # phase 1 ends on x = (0, 0), which is feasible but not optimal; a
+        # pricing that finds no entering column stops phase 2 right there
+        lp = LinearProgram(objective=[-1, 0], A=[{0: 1, 1: -1}], b=[0],
+                           upper=[5, 5])
+        assert simplex_solve(lp).objective == -5
+        monkeypatch.setattr(lp_module, "_bland", lambda *args: None)
+        with pytest.raises(AssertionError, match="dual certificate"):
+            simplex_solve(lp)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bounded_lps())
+    def test_duals_bound_every_feasible_point(self, lp):
+        # weak duality, recomputed here: with r = f - A'y, every feasible x'
+        # has f x' = y b + r x' >= y b + sum_j min(r_j lower_j, r_j upper_j),
+        # a finite bound only when r_j < 0 has an upper bound to meet
+        sol = simplex_solve(lp)
+        if sol.status != "Optimal":
+            assert sol.duals is None
+            return
+        y = sol.duals
+        assert len(y) == lp.num_constraints
+        r = list(lp.objective)
+        for row, yi in zip(lp.A, y):
+            for j, a in row.items():
+                r[j] -= a * yi
+        bound = sum(yi * bi for yi, bi in zip(y, lp.b))
+        for rj, lo, up in zip(r, lp.lower, lp.upper):
+            if rj < 0:
+                assert up is not None
+                bound += rj * up
+            else:
+                bound += rj * lo
+        assert bound == sol.objective

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import IntMatrix, det, identity, matmul, snf
+from ohcp import fileio, fixtures
+from ohcp.cli import main
+from ohcp.complexes import boundary_submatrix
 from square_solve import solve_square
 
 
@@ -100,14 +103,22 @@ class TestSolve:
 
 class TestSubmatrixAndScaling:
     def test_submatrix_respects_order(self):
-        M = IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        S = M.submatrix([2, 0], [1, 0])
-        assert S.data == [[8, 7], [2, 1]]
+        # the edges of the triangle are (0,1), (0,2), (1,2); row a of the
+        # cut is vertex rows[a] and column b is edge cols[b]
+        K = fixtures.triangle()
+        S = boundary_submatrix(K, 1, [2, 0], [2, 1, 0])
+        assert S == [{0: 1, 1: 1}, {1: -1, 2: -1}]
 
     def test_sign_scaling_preserves_abs_det(self):
         M = IntMatrix([[1, 1], [-1, 1]])
         assert abs(det(M.scaled([1, -1], [-1, 1]))) == abs(det(M))
 
-    def test_text_round_trip(self):
-        M = IntMatrix([[1, -2], [0, 3]])
-        assert M.to_text() == "2 2\n1 -2\n0 3\n"
+    def test_text_round_trip(self, tmp_path, capsys):
+        # `ohcp boundary` writes a matrix that fileio.parse_matrix reads back
+        scx = tmp_path / "triangle.scx"
+        scx.write_text("0 1 2\n")
+        assert main(["boundary", "--complex", str(scx), "--dim", "1"]) == 0
+        text = capsys.readouterr().out
+        assert text == "3 3\n-1 -1 0\n1 0 -1\n0 1 1\n"
+        assert fileio.parse_matrix(text) == (
+            [{0: -1, 1: -1}, {0: 1, 2: -1}, {1: 1, 2: 1}], 3)

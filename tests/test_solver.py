@@ -1,15 +1,18 @@
-"""OHCP assembly, exact solve, and oracle agreement."""
+"""OHCP assembly, exact solve, its dual certificate, and oracle agreement."""
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from brute_force_oracle import brute_force_oracle
 from helpers import IntMatrix, matvec
 from ohcp import fixtures, solver
 from ohcp.complexes import boundary_matrix, build_closure
 from ohcp.lp import LPSolution
-from ohcp.solver import OHCPInstance, assemble, brute_force_oracle, solve
+from ohcp.solver import OHCPInstance, assemble, solve
 from ohcp.tu import BudgetExceeded
 
 
@@ -225,7 +228,7 @@ class TestOracle:
                 cases.append(l1_instance(K, c, weights=w, variant=variant,
                                          y_weights=yw))
         whole = [brute_force_oracle(inst, y_bound=1) for inst in cases]
-        monkeypatch.setattr(solver, "ORACLE_BLOCK", block)
+        monkeypatch.setattr("brute_force_oracle.ORACLE_BLOCK", block)
         for inst, want in zip(cases, whole):
             got = brute_force_oracle(inst, y_bound=1)
             assert (got.x_star, got.y_witness, got.objective) \
@@ -266,3 +269,79 @@ class TestHourglass:
         assert all(v in (-1, 0, 1) for v in sol.x_star)
         oracle = brute_force_oracle(inst, y_bound=1)
         assert sol.objective == oracle.objective
+
+
+FIXTURES = {name: getattr(fixtures, name)() for name in (
+    "triangle", "hollow_triangle", "tetrahedron_surface", "disk_fan",
+    "cylinder", "mobius_strip", "projective_plane", "torus",
+    "seven_tetrahedra", "two_tetrahedra", "solid_octahedron")}
+_WEIGHTS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2),
+                            Fraction(3, 2), Fraction(-1, 3), Fraction(5)])
+
+
+@st.composite
+def instances(draw):
+    """A fixture complex, any p below its top dimension, any variant, a
+    random chain and weights, negative and zero weights included."""
+    K = FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))]
+    p = draw(st.integers(0, K.dim - 1))
+    variant = draw(st.sampled_from(("L1", "L0Box", "TotalWeight")))
+    m, n = K.count(p), K.count(p + 1)
+    top = 1 if variant == "L0Box" else 2
+    c = draw(st.lists(st.integers(-top, top), min_size=m, max_size=m))
+    if variant == "L0Box":
+        w = draw(st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m))
+    else:
+        w = draw(st.lists(_WEIGHTS, min_size=m, max_size=m))
+    v = draw(st.lists(_WEIGHTS, min_size=n, max_size=n)) \
+        if variant == "TotalWeight" else None
+    return OHCPInstance(K=K, p=p, c=c, weights=w, variant=variant,
+                        y_weights=v)
+
+
+def fractional_instance():
+    """The projective plane at p = 1 under L0Box, whose optimum is 3 at a
+    fractional vertex."""
+    K = FIXTURES["projective_plane"]
+    c = [(1, -1, 0)[i % 3] for i in range(K.count(1))]
+    return l1_instance(K, c, variant="L0Box")
+
+
+class TestDualCertificate:
+    """`sol.dual` is a feasible point z of the dual LP of its variant whose
+    dual objective is the optimum:
+      L1           max c z          s.t. |z_i| <= |w_i|, B'z = 0
+      L0Box        max c z - sum max(0, |z_i| - 1)  s.t. B'z = 0
+      TotalWeight  max c z          s.t. |z_i| <= |w_i|, |(B'z)_j| <= |v_j|
+    Weak duality makes that value a lower bound on every homologous chain,
+    integral or not."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances())
+    @example(fractional_instance())
+    def test_dual_proves_the_optimum(self, inst):
+        sol = solve(inst)
+        z = sol.dual
+        assert len(z) == inst.m
+        if inst.variant != "L0Box":
+            assert all(abs(zi) <= abs(wi) for zi, wi in zip(z, inst.weights))
+        Btz = (matvec(IntMatrix(boundary_matrix(inst.K, inst.p + 1))
+                      .transpose(), z) if inst.n else [])
+        if inst.variant == "TotalWeight":
+            assert all(abs(t) <= abs(v) for t, v in zip(Btz, inst.y_weights))
+        else:
+            assert all(t == 0 for t in Btz)
+        value = sum(ci * zi for ci, zi in zip(inst.c, z))
+        if inst.variant == "L0Box":
+            value -= sum(max(0, abs(zi) - 1) for zi in z)
+        assert value == sol.objective
+        # the oracle searches a box of integer bounding chains; it holds the
+        # optimum when that is integral and is bounded below by it always
+        bound = max([abs(v) for v in sol.y_witness] + [0]) \
+            if sol.integral else 1
+        if (2 * bound + 1) ** inst.n <= 10 ** 5:
+            oracle = brute_force_oracle(inst, y_bound=bound)
+            if sol.integral:
+                assert oracle.objective == value
+            else:
+                assert oracle.objective >= value
