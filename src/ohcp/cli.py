@@ -13,11 +13,11 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import fileio
-from .complexes import (Chain, InputError, NotPseudomanifold, boundary_matrix,
+from .complexes import (InputError, NotPseudomanifold, boundary_matrix,
                         orient_consistently)
 from .geometry import weights_from_coordinates
-from .homology import (homology_summary, smith_normal_form,
-                       torsion_witness_from_submatrix)
+from .homology import homology_summary, torsion_witness_from_submatrix
+from .matrices import smith_normal_form
 from .solver import OHCPInstance, solve
 from .tu import (TUVerdict, Undecided, find_mobius_subcomplex,
                  is_tu_minor_enumeration, mobius_verdict, tu_verdict)
@@ -65,8 +65,7 @@ def cmd_boundary(args):
 
 def cmd_snf(args):
     rows, n = fileio.parse_matrix(_read(args.matrix))
-    res = smith_normal_form(rows, n)
-    sys.stdout.write(" ".join(map(str, res.diagonal)) + "\n")
+    sys.stdout.write(" ".join(map(str, smith_normal_form(rows, n))) + "\n")
     return EXIT_OK
 
 
@@ -124,8 +123,7 @@ def cmd_torsion_scan(args):
 def _build_instance(args):
     K = _load_complex(args)
     p = args.dim
-    chain = fileio.parse_chain(_read(args.chain), K, p)
-    c = chain.to_vector(K.count(p))
+    c = fileio.parse_chain(_read(args.chain), K, p)
     if args.weights and args.coords:
         raise InputError("give either --weights or --coords, not both")
     if args.weights:
@@ -156,8 +154,8 @@ def cmd_solve(args):
     if args.out:
         _write(args.out + ".json", summary)
         if sol.integral:
-            chain = Chain.from_vector(inst.p, sol.x_star)
-            _write(args.out + ".chn", fileio.write_chain(inst.K, chain))
+            _write(args.out + ".chn",
+                   fileio.write_chain(inst.K, inst.p, sol.x_star))
     if not sol.integral:
         print("warning: fractional optimum; see note in summary",
               file=sys.stderr)

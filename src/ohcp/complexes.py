@@ -1,14 +1,13 @@
-"""Finite simplicial complexes, chains, and boundary matrices.
+"""Finite simplicial complexes and their boundary matrices.
 
 Conventions that keep everything reproducible:
   * the canonical orientation of a simplex is the ascending vertex order;
     any other input ordering only contributes the sign of the permutation;
   * for each dimension q, the elementary chain basis is the list of
-    canonical q-simplices sorted lexicographically on their vertex tuple.
+    canonical q-simplices sorted lexicographically on their vertex tuple,
+    and a q-chain is its integer coefficient vector over that basis.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .matrices import permutation_sign
 
@@ -21,30 +20,17 @@ class NotPseudomanifold(ValueError):
     """Some (q-1)-simplex is a face of three or more q-simplices."""
 
 
-@dataclass(frozen=True)
-class Simplex:
-    """An oriented simplex; stored canonically with the orientation sign."""
-
-    vertices: tuple  # ascending
-    sign: int = 1    # orientation relative to the canonical (ascending) order
-
-    @classmethod
-    def from_vertices(cls, vertices) -> "Simplex":
-        verts = tuple(int(v) for v in vertices)
-        if any(v < 0 for v in verts):
-            raise InputError(f"negative vertex id in {verts}")
-        if len(set(verts)) != len(verts):
-            raise InputError(f"duplicate vertices in simplex {verts}")
-        order = sorted(range(len(verts)), key=verts.__getitem__)
-        return cls(tuple(verts[i] for i in order), permutation_sign(order))
-
-    def faces(self):
-        """The (dim-1)-faces with the signs from the boundary formula."""
-        out = []
-        for i in range(len(self.vertices)):
-            face = self.vertices[:i] + self.vertices[i + 1:]
-            out.append((face, (-1) ** i))
-        return out
+def canonical(vertices):
+    """(ascending vertex tuple, sign of the permutation sorting `vertices`):
+    the canonical simplex and the input ordering's orientation relative to
+    it."""
+    verts = tuple(int(v) for v in vertices)
+    if any(v < 0 for v in verts):
+        raise InputError(f"negative vertex id in {verts}")
+    if len(set(verts)) != len(verts):
+        raise InputError(f"duplicate vertices in simplex {verts}")
+    order = sorted(range(len(verts)), key=verts.__getitem__)
+    return tuple(verts[i] for i in order), permutation_sign(order)
 
 
 class SimplicialComplex:
@@ -84,8 +70,10 @@ class SimplicialComplex:
             raise InputError(f"dimension {q} out of range 1..{self.dim}")
         cols = self._boundary.get(q)
         if cols is None:
-            cols = [dict(sorted((self.index_of(q - 1, face), sign)
-                                for face, sign in Simplex(verts).faces()))
+            # face i of a simplex drops vertex i and has sign (-1)**i
+            cols = [dict(sorted(
+                        (self.index_of(q - 1, verts[:i] + verts[i + 1:]),
+                         (-1) ** i) for i in range(len(verts))))
                     for verts in self.simplices_by_dim[q]]
             self._boundary[q] = cols
         return cols
@@ -104,8 +92,7 @@ def build_closure(maximal) -> SimplicialComplex:
     levels: dict[int, set] = {}
     stack = []
     for verts in maximal:
-        s = Simplex.from_vertices(verts)
-        stack.append(s.vertices)
+        stack.append(canonical(verts)[0])
     seen = set()
     while stack:
         verts = stack.pop()
@@ -121,29 +108,6 @@ def build_closure(maximal) -> SimplicialComplex:
         return SimplicialComplex([])
     top = max(levels)
     return SimplicialComplex([sorted(levels.get(q, set())) for q in range(top + 1)])
-
-
-@dataclass
-class Chain:
-    """Sparse integer p-chain over the elementary chain basis."""
-
-    dim: int
-    coeffs: dict = field(default_factory=dict)  # basis index -> nonzero int
-
-    def __post_init__(self):
-        self.coeffs = {i: int(c) for i, c in self.coeffs.items() if c != 0}
-
-    @classmethod
-    def from_vector(cls, dim, vec) -> "Chain":
-        return cls(dim, {i: c for i, c in enumerate(vec) if c != 0})
-
-    def to_vector(self, length):
-        v = [0] * length
-        for i, c in self.coeffs.items():
-            if not 0 <= i < length:
-                raise InputError(f"chain index {i} out of range 0..{length - 1}")
-            v[i] = c
-        return v
 
 
 def boundary_matrix(K: SimplicialComplex, q: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .complexes import Chain, InputError, Simplex, SimplicialComplex, build_closure
+from .complexes import InputError, SimplicialComplex, build_closure, canonical
 
 
 def _content_lines(text):
@@ -34,8 +34,9 @@ def parse_complex(text: str) -> SimplicialComplex:
     return build_closure(maximal)
 
 
-def parse_chain(text: str, K: SimplicialComplex, p: int) -> Chain:
-    coeffs = {}
+def parse_chain(text: str, K: SimplicialComplex, p: int) -> list:
+    """The coefficient vector of a .chn text, one int per p-simplex."""
+    x = [0] * K.count(p)
     for lineno, line in _content_lines(text):
         toks = line.split()
         if len(toks) != p + 2:
@@ -44,17 +45,17 @@ def parse_chain(text: str, K: SimplicialComplex, p: int) -> Chain:
             coeff = int(toks[0])
         except ValueError:
             raise InputError(f"line {lineno}: non-integer coefficient {toks[0]!r}") from None
-        s = Simplex.from_vertices(_ints(toks[1:], lineno, "vertex ids"))
-        idx = K.index_of(p, s.vertices)
-        coeffs[idx] = coeffs.get(idx, 0) + coeff * s.sign
-    return Chain(p, coeffs)
+        verts, sign = canonical(_ints(toks[1:], lineno, "vertex ids"))
+        x[K.index_of(p, verts)] += coeff * sign
+    return x
 
 
-def write_chain(K: SimplicialComplex, c: Chain) -> str:
+def write_chain(K: SimplicialComplex, p: int, x) -> str:
+    """The .chn text of the p-chain vector x: its nonzeros in basis order."""
     lines = []
-    for idx in sorted(c.coeffs):
-        verts = K.simplices(c.dim)[idx]
-        lines.append(f"{c.coeffs[idx]} " + " ".join(map(str, verts)))
+    for verts, coeff in zip(K.simplices(p), x):
+        if coeff:
+            lines.append(f"{coeff} " + " ".join(map(str, verts)))
     return "\n".join(lines) + "\n"
 
 
@@ -71,8 +72,8 @@ def parse_weights(text: str, K: SimplicialComplex, p: int):
         toks = line.split()
         if len(toks) != p + 2:
             raise InputError(f"line {lineno}: expected weight and {p + 1} vertices")
-        s = Simplex.from_vertices(_ints(toks[1:], lineno, "vertex ids"))
-        weights[K.index_of(p, s.vertices)] = _parse_rational(toks[0])
+        verts, _ = canonical(_ints(toks[1:], lineno, "vertex ids"))
+        weights[K.index_of(p, verts)] = _parse_rational(toks[0])
     return weights
 
 
@@ -120,8 +121,8 @@ def solution_summary(sol) -> str:
         "objective": f"{obj.numerator}/{obj.denominator}",
         "integral": sol.integral,
         "variant": sol.variant,
-        "nnz": sol.nnz(),
-        "y_support": sol.y_support(),
+        "nnz": sum(1 for v in sol.x_star if v != 0),
+        "y_support": [j for j, v in enumerate(sol.y_witness) if v != 0],
     }
     if sol.torsion_note:
         doc["note"] = sol.torsion_note

@@ -114,42 +114,3 @@ def solid_octahedron() -> SimplicialComplex:
     """Octahedron split into four tetrahedra around its axis; embeds in R^3."""
     return build_closure([[0, 1, 2, 5], [0, 2, 3, 5], [0, 3, 4, 5],
                           [0, 1, 4, 5]])
-
-
-# Reference boundary matrices of a Moebius strip and a projective plane
-# triangulation, in a fixed edge/triangle numbering that differs from the
-# lexicographic basis above. Determinant, SNF, and TU tests pin their values
-# against these; in a .mat file each is an "m n" header line, then its rows.
-
-MOEBIUS_B2 = [
-    [1, 0, 0, 0, 0, 1],
-    [0, 0, 0, 0, -1, 0],
-    [-1, 1, 0, 0, 0, 0],
-    [0, 0, 0, 0, 1, -1],
-    [0, -1, 0, 0, 0, 0],
-    [1, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 1],
-    [0, 0, -1, 0, 0, 0],
-    [0, 0, 0, 1, -1, 0],
-    [0, 0, 1, -1, 0, 0],
-    [0, 1, -1, 0, 0, 0],
-    [0, 0, 0, 1, 0, 0],
-]
-
-PROJECTIVE_PLANE_B2 = [
-    [-1, 0, 0, 0, 0, -1, 0, 0, 0, 0],
-    [0, 1, 1, 0, 0, 0, 0, 0, 0, 0],
-    [1, -1, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, -1, 0, 0, 0, 0, 1, 0, 0],
-    [0, 0, 0, 0, 0, 1, 0, -1, 0, 0],
-    [0, 0, 0, 0, -1, 0, -1, 0, 0, 0],
-    [-1, 0, 0, 0, 0, 0, 0, 0, 1, 0],
-    [0, 0, 0, 0, 1, 0, 0, 0, -1, 0],
-    [0, 0, 0, 0, 0, -1, 1, 0, 0, 0],
-    [0, 1, 0, 0, 0, 0, 0, 0, 0, -1],
-    [0, 0, 1, 0, -1, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, -1, 0, 0, 1],
-    [0, 0, 0, -1, 0, 0, 0, 0, 1, 0],
-    [0, 0, 0, 1, 0, 0, 0, 0, 0, -1],
-    [0, 0, 0, -1, 0, 0, 0, 1, 0, 0],
-]

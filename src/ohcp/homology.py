@@ -1,17 +1,11 @@
-"""Smith normal form over Z, torsion detection, and torsion witnesses, on
-matrices given as sparse rows over columns 0..n-1 (see ohcp.matrices)."""
+"""Integral homology and torsion witnesses, read off the Smith normal form
+diagonal (ohcp.matrices.smith_normal_form) of boundary matrices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .complexes import InputError, SimplicialComplex, relative_boundary_matrix
-from .matrices import smith_diagonal
-
-
-@dataclass
-class SNFResult:
-    diagonal: list          # d_1..d_l, each >= 1, d_i | d_{i+1}
-    rank: int
+from .matrices import smith_normal_form
 
 
 @dataclass
@@ -28,17 +22,6 @@ class TorsionWitness:
     torsion_coefficient: int
 
 
-def smith_normal_form(rows, n) -> SNFResult:
-    """Smith normal form diagonal and rank of the matrix with the sparse rows
-    `rows` (consumed) over columns 0..n-1 (see matrices.smith_diagonal)."""
-    diagonal = smith_diagonal(rows, n)
-    return SNFResult(diagonal=diagonal, rank=len(diagonal))
-
-
-def torsion_coefficients(r: SNFResult):
-    return [d for d in r.diagonal if d > 1]
-
-
 def homology_summary(K: SimplicialComplex, p: int):
     """(betti_p, torsion coefficients of H_p(K)). The cached columns of the
     q-boundary are the rows of its transpose, which has the same invariant
@@ -47,11 +30,11 @@ def homology_summary(K: SimplicialComplex, p: int):
         raise InputError(f"dimension {p} out of range 0..{K.dim}")
     rank_dp, up = 0, []
     if p >= 1:
-        rank_dp = smith_normal_form([dict(c) for c in K.boundary_columns(p)],
-                                    K.count(p - 1)).rank
+        rank_dp = len(smith_normal_form(
+            [dict(c) for c in K.boundary_columns(p)], K.count(p - 1)))
     if p < K.dim:
         up = smith_normal_form([dict(c) for c in K.boundary_columns(p + 1)],
-                               K.count(p)).diagonal
+                               K.count(p))
     torsion = [d for d in up if d > 1]
     return K.count(p) - rank_dp - len(up), torsion
 
@@ -70,10 +53,10 @@ def torsion_witness_from_submatrix(K: SimplicialComplex, p: int, rows, cols) -> 
     S, kept, cols = relative_boundary_matrix(K, p, cols, L0)
     if kept != sorted(rows) or len(kept) != len(cols):
         raise ValueError("witness submatrix must be square, with no zero row")
-    snf = smith_normal_form(S, len(cols))
-    tors = torsion_coefficients(snf)
-    if snf.rank != len(cols) or not tors:
+    diagonal = smith_normal_form(S, len(cols))
+    tors = [d for d in diagonal if d > 1]
+    if len(diagonal) != len(cols) or not tors:
         raise ValueError(f"witness submatrix with invariant factors "
-                         f"{snf.diagonal} certifies nothing")
+                         f"{diagonal} certifies nothing")
     return TorsionWitness(p=p, L_cols=cols, L0_rows=L0,
                           torsion_coefficient=max(tors))

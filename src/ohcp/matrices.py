@@ -235,11 +235,11 @@ def _smith_dense(a):
     return [a[i][i] for i in range(t)]
 
 
-def smith_diagonal(rows, n) -> list:
-    """Invariant factors d_1 | d_2 | ..., each >= 1, of the matrix with the
-    sparse rows `rows` (consumed) over columns 0..n-1: a 1 for every unit
-    pivot, then the Smith normal form of the core's nonzero rows and
-    columns."""
+def smith_normal_form(rows, n) -> list:
+    """The Smith normal form diagonal d_1 | d_2 | ..., each >= 1 (its
+    length is the rank), of the matrix with the sparse rows `rows`
+    (consumed) over columns 0..n-1: a 1 for every unit pivot, then the
+    Smith normal form of the core's nonzero rows and columns."""
     pivots, rows = _eliminate_units(rows, n)
     live = [row for row in rows if row]
     cols = sorted(set().union(*live))

@@ -71,12 +71,6 @@ class OHCPSolution:
     torsion_note: str = None
     dual: list = None          # z, one rational per p-simplex; see solve
 
-    def nnz(self):
-        return sum(1 for v in self.x_star if v != 0)
-
-    def y_support(self):
-        return [j for j, v in enumerate(self.y_witness) if v != 0]
-
 
 def _boundary_columns(inst: OHCPInstance):
     """The complex's cached sparse columns of B; none when p is the top

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (InputError, NotPseudomanifold, SimplicialComplex,
-                        boundary_submatrix, orient_consistently)
+                        boundary_submatrix, orient_consistently,
+                        parity_coloring)
 from .matrices import det_int
 
 
@@ -181,21 +182,6 @@ def is_tu_minor_enumeration(cols, col_cap: int = 16) -> TUVerdict:
     return TUVerdict("TU", "minor-enumeration")
 
 
-def _cycle_orientable(K: SimplicialComplex, q, cycle, faces) -> bool:
-    """Propagate orientation signs around a cycle complex."""
-    B = K.boundary_columns(q)
-    sign = 1
-    k = len(cycle)
-    for i in range(k):
-        f = faces[(i + 1) % k]     # face shared by cycle[i] and cycle[i+1]
-        nxt = cycle[(i + 1) % k]
-        sign_next = -sign * B[cycle[i]][f] * B[nxt][f]
-        if (i + 1) % k == 0:
-            return sign_next == 1
-        sign = sign_next
-    raise AssertionError("unreachable")
-
-
 def find_mobius_subcomplex(K: SimplicialComplex, q: int,
                            budget: int = 10 ** 6,
                            want_orientable: bool = False):
@@ -280,7 +266,11 @@ def find_mobius_subcomplex(K: SimplicialComplex, q: int,
                 faces = [face_of(cycle[i - 1], cycle[i])
                          for i in range(len(cycle))]
                 if len(set(faces)) == len(faces):
-                    orientable = _cycle_orientable(K, q, cycle, faces)
+                    # face i is shared by cycle members i-1 and i
+                    k = len(cycle)
+                    rows = [{(i - 1) % k: B[cycle[i - 1]][f],
+                             i: B[cycle[i]][f]} for i, f in enumerate(faces)]
+                    orientable = parity_coloring(rows, k) is not None
                     if orientable == want_orientable:
                         return CycleComplexWitness(q=q, simplices=cycle,
                                                    shared_faces=faces,
@@ -314,7 +304,8 @@ def mobius_verdict(K: SimplicialComplex, q: int, budget: int) -> TUVerdict:
                             f"not conclusive for p = {q - 1} > 1")
         return TUVerdict("TU", "mobius-search")
     rows, cols, d = mcm_witness_from_cycle(K, w)
-    assert abs(d) >= 2
+    if abs(d) < 2:
+        raise AssertionError(f"Moebius witness re-verification: det={d}")
     return TUVerdict("NotTU", "mobius-search", rows, cols, d)
 
 

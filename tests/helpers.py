@@ -1,9 +1,9 @@
 """Test-only helpers: a dense integer matrix to build cases with, its
-products, determinant and Smith normal form, the boundary of a chain, and a
-complex written as .scx text for the command-line tests."""
-from ohcp.complexes import Chain, SimplicialComplex
-from ohcp.homology import smith_normal_form
-from ohcp.matrices import det_int
+products, determinant and Smith normal form, the boundary of a chain, a
+complex written as .scx text for the command-line tests, and two reference
+boundary matrices."""
+from ohcp.complexes import SimplicialComplex
+from ohcp.matrices import det_int, smith_normal_form
 
 
 class IntMatrix:
@@ -75,13 +75,12 @@ def matvec(A: IntMatrix, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A.data]
 
 
-def chain_boundary(K: SimplicialComplex, c: Chain):
-    """Dense coefficient vector of the boundary of the q-chain c, summed
+def chain_boundary(K: SimplicialComplex, q, x):
+    """Coefficient vector of the boundary of the q-chain vector x, summed
     from the sparse columns K.boundary_columns(q)."""
-    out = [0] * K.count(c.dim - 1)
-    cols = K.boundary_columns(c.dim)
-    for j, coeff in c.coeffs.items():
-        for i, sign in cols[j].items():
+    out = [0] * K.count(q - 1)
+    for coeff, col in zip(x, K.boundary_columns(q)):
+        for i, sign in col.items():
             out[i] += coeff * sign
     return out
 
@@ -96,3 +95,42 @@ def write_complex(K: SimplicialComplex) -> str:
                                      for s in K.simplices(qq)):
                 lines.append(" ".join(map(str, verts)))
     return "\n".join(lines) + "\n"
+
+
+# Reference boundary matrices of a Moebius strip and a projective plane
+# triangulation, in a fixed edge/triangle numbering that differs from the
+# lexicographic basis of ohcp.complexes. Determinant, SNF, and TU tests pin their values
+# against these; in a .mat file each is an "m n" header line, then its rows.
+
+MOEBIUS_B2 = [
+    [1, 0, 0, 0, 0, 1],
+    [0, 0, 0, 0, -1, 0],
+    [-1, 1, 0, 0, 0, 0],
+    [0, 0, 0, 0, 1, -1],
+    [0, -1, 0, 0, 0, 0],
+    [1, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 1],
+    [0, 0, -1, 0, 0, 0],
+    [0, 0, 0, 1, -1, 0],
+    [0, 0, 1, -1, 0, 0],
+    [0, 1, -1, 0, 0, 0],
+    [0, 0, 0, 1, 0, 0],
+]
+
+PROJECTIVE_PLANE_B2 = [
+    [-1, 0, 0, 0, 0, -1, 0, 0, 0, 0],
+    [0, 1, 1, 0, 0, 0, 0, 0, 0, 0],
+    [1, -1, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, -1, 0, 0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, 0, 1, 0, -1, 0, 0],
+    [0, 0, 0, 0, -1, 0, -1, 0, 0, 0],
+    [-1, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+    [0, 0, 0, 0, 1, 0, 0, 0, -1, 0],
+    [0, 0, 0, 0, 0, -1, 1, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0, 0, 0, 0, -1],
+    [0, 0, 1, 0, -1, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, -1, 0, 0, 1],
+    [0, 0, 0, -1, 0, 0, 0, 0, 1, 0],
+    [0, 0, 0, 1, 0, 0, 0, 0, 0, -1],
+    [0, 0, 0, -1, 0, 0, 0, 1, 0, 0],
+]

@@ -1,6 +1,7 @@
-"""Each top-level public name in src/ohcp, the fixtures module aside, is
-referenced outside its own definition by the package, the scripts or the
-benchmark harness; a name that only tests reach belongs in tests/."""
+"""Guards over the source of src/ohcp. Each top-level public name, the
+fixtures module aside, is referenced outside its own definition by the
+package, the scripts or the benchmark harness; a name that only tests reach
+belongs in tests/. No check is an assert statement, which python -O strips."""
 import ast
 import pathlib
 
@@ -35,3 +36,11 @@ def test_every_public_name_is_used_outside_the_tests():
                         used.add(name)
     unused = sorted(set(defs) - used)
     assert not unused, f"referenced only by tests: {', '.join(unused)}"
+
+
+def test_no_assert_statement_in_the_package():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "ohcp").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements: {', '.join(found)}"

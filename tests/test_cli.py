@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import ohcp
-from helpers import IntMatrix, write_complex
+from helpers import MOEBIUS_B2, IntMatrix, write_complex
 from ohcp import fileio, fixtures
 from ohcp.cli import main
 from ohcp.complexes import build_closure
@@ -64,7 +64,7 @@ class TestCertification:
 
     def test_snf_of_shipped_matrix(self, paths, capsys):
         mat = paths["tmp"] / "moebius_b2.mat"
-        mat.write_text(IntMatrix(fixtures.MOEBIUS_B2).to_text())
+        mat.write_text(IntMatrix(MOEBIUS_B2).to_text())
         code, out, _ = run(capsys, "snf", "--matrix", mat)
         assert code == 0
         assert out.strip() == "1 1 1 1 1 1"
@@ -127,7 +127,7 @@ class TestSolvePipeline:
         K = fileio.parse_complex(paths["triangle"].read_text())
         written = fileio.parse_chain((paths["tmp"] / "sol.chn").read_text(),
                                      K, 1)
-        assert written.coeffs == {}
+        assert written == [0] * K.count(1)
 
     def test_homology(self, paths, capsys):
         code, out, _ = run(capsys, "homology", "--complex", paths["moebius"],

@@ -29,8 +29,8 @@ sparse_unit = matrices(st.sampled_from([0, 0, 0, 0, 1, -1]), max_dim=9)
 def assert_same(M):
     want = ref.smith_normal_form(M)
     got = snf(M)
-    assert got.diagonal == want.diagonal
-    assert got.rank == want.rank
+    assert got == want.diagonal
+    assert len(got) == want.rank
     assert ref.rank_int(M) == want.rank
     if M.m == M.n:
         assert det(M) == ref.det_int(M)

@@ -85,8 +85,8 @@ def random_lp(rng):
         m = rng.randint(1, min(4, n - 1))
         A = [{j: a for j in range(n) if (a := rng.randint(-3, 3))}
              for _ in range(m)]
-        if snf(IntMatrix([[row.get(j, 0) for j in range(n)]
-                          for row in A])).rank < m:
+        if len(snf(IntMatrix([[row.get(j, 0) for j in range(n)]
+                              for row in A]))) < m:
             continue
         lower = [Fraction(rng.randint(-2, 0)) for _ in range(n)]
         upper = [lo + rng.randint(1, 4) for lo in lower]

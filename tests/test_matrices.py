@@ -64,20 +64,20 @@ class TestDet:
 
 class TestRank:
     def test_zero_matrix(self):
-        assert snf(IntMatrix([[0] * 5] * 3)).rank == 0
+        assert len(snf(IntMatrix([[0] * 5] * 3))) == 0
 
     def test_full_rank(self):
-        assert snf(identity(3)).rank == 3
+        assert len(snf(identity(3))) == 3
 
     @settings(max_examples=100)
     @given(st.integers(1, 5).flatmap(square))
     def test_nonsingular_iff_full_rank(self, M):
-        assert (det(M) != 0) == (snf(M).rank == M.m)
+        assert (det(M) != 0) == (len(snf(M)) == M.m)
 
     def test_rank_of_outer_product_is_one(self):
         u, v = [1, 2, 3], [4, 5]
         M = IntMatrix([[a * b for b in v] for a in u])
-        assert snf(M).rank == 1
+        assert len(snf(M)) == 1
 
 
 class TestSolve:

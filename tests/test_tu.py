@@ -1,14 +1,18 @@
 """Total-unimodularity certification: minors and cycles (the
 Heller-Tompkins route is tested through the CLI and orient_consistently)."""
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ohcp
 from cycle_matrices import (classify_cycle_matrix, cycle_matrix_det,
                             cycle_matrix_normal_form)
-from helpers import IntMatrix, det, identity
+from helpers import MOEBIUS_B2, PROJECTIVE_PLANE_B2, IntMatrix, det, identity
 from ohcp import fixtures
 from ohcp.complexes import boundary_matrix, build_closure
 from ohcp.tu import (Undecided, find_mobius_subcomplex,
@@ -46,7 +50,7 @@ class TestMinorEnumeration:
 
     def test_moebius_fixture_not_tu(self):
         v = is_tu_minor_enumeration(
-            IntMatrix(fixtures.MOEBIUS_B2).transpose().sparse_rows())
+            IntMatrix(MOEBIUS_B2).transpose().sparse_rows())
         assert v.status == "NotTU"
         assert abs(v.witness_det) == 2
 
@@ -64,8 +68,8 @@ class TestMinorEnumeration:
                 circulant.transpose().sparse_rows(), col_cap=4)
 
     @pytest.mark.parametrize("M, rows, cols", [
-        (IntMatrix(fixtures.MOEBIUS_B2), [0, 2, 3, 8, 9, 10], list(range(6))),
-        (IntMatrix(fixtures.PROJECTIVE_PLANE_B2), [1, 2, 6, 7, 10],
+        (IntMatrix(MOEBIUS_B2), [0, 2, 3, 8, 9, 10], list(range(6))),
+        (IntMatrix(PROJECTIVE_PLANE_B2), [1, 2, 6, 7, 10],
          [0, 1, 2, 4, 8]),
         (IntMatrix(boundary_matrix(fixtures.seven_tetrahedra(), 3)),
          [0, 1, 2, 5, 7, 11, 14], list(range(7))),
@@ -159,6 +163,19 @@ class TestMobiusSearch:
         w = find_mobius_subcomplex(K, 2)
         _, _, d = mcm_witness_from_cycle(K, w)
         assert abs(d) == 2
+
+    def test_witness_check_survives_optimised_mode(self):
+        # python -O strips assert statements; with det_int faked to 1 the
+        # Moebius route must still refuse its witness
+        src = os.path.dirname(os.path.dirname(ohcp.__file__))
+        check = ("from ohcp import fixtures, tu; "
+                 "tu.det_int = lambda rows, n: 1; "
+                 "print(tu.mobius_verdict(fixtures.mobius_strip(), 2, 10**6))")
+        proc = subprocess.run([sys.executable, "-O", "-c", check],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0 and proc.stdout == ""
+        assert "AssertionError" in proc.stderr
 
     def test_found_cycle_submatrix_is_an_mcm(self):
         K = fixtures.projective_plane()
