@@ -1,4 +1,4 @@
-"""Exact rational simplex for standard-form LPs with variable bounds.
+"""Exact simplex for standard-form LPs with variable bounds.
 
 min f'x  s.t.  A x = b,  lower <= x <= upper
 
@@ -10,11 +10,25 @@ tolerance. The solver is a two-phase bounded-variable simplex with Bland's
 anti-cycling rule, which always terminates and lands on a basic feasible
 point (a vertex), so integrality over TU systems comes for free.
 
-The tableau B^{-1} [A | I] is kept as sparse rows ({column: entry}, zeros
-never stored). An entry is a plain int while it is integral and a Fraction
-only when it is not, so over a TU matrix the tableau stays in small ints.
-The reduced-cost row is computed once per phase and updated with the
-scaled pivot row at each basis change; a bound flip leaves it unchanged.
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968): integer rows
+N = D B^{-1} [A | I] ({column: entry}, zeros never stored) over one
+positive int D = |det B|, so the rational tableau is N / D. A pivot on
+p = N[r][j] makes row r sgn(p) N_r and every other row i
+(|p| N_i - sgn(p) N_ij N_r) / D, a division that Sylvester's identity makes
+exact, and sets D = |p|; a row with no entry in column j is only scaled by
+|p| / D, which is skipped when |p| = D. Over a TU matrix every basis has
+|det B| = 1, so D stays 1 and a pivot is a plain integer elimination. The
+reduced costs are held as D d, one more row in the elimination, computed
+once per phase; a bound flip leaves them unchanged.
+
+A row of A with fractional entries is scaled by the lcm l_i of its
+denominators, which scales its artificial variable by l_i as well; phase 1
+prices that artificial at lcm(l) / l_i, so every reduced cost is a positive
+multiple of the unscaled one. The integer tableau is thus the rational one
+with each row and column times a positive number: every sign, every ratio
+and so every pivot are those of a Fraction tableau. The ratio test, the
+bound flips and the basic values keep exact values, ints or Fractions,
+e.g. t = (beta_r - lower) D / |N_rj|.
 """
 from __future__ import annotations
 
@@ -76,7 +90,7 @@ class LPSolution:
     x: list = None                   # Fractions, length N
     objective: Fraction = None
     basis: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)  # pivot and bound-flip counts
+    stats: dict = field(default_factory=dict)  # counts and basis_det
     duals: list = None               # Fractions, length M; Optimal only
 
 
@@ -118,18 +132,20 @@ def _bland(d, movable, status):
 
 
 class _Tableau:
-    """Bounded-variable simplex state over sparse rows of B^{-1} [A | I]."""
+    """Bounded-variable simplex state: the integer rows N = D B^{-1} [A | I]
+    over one positive int D = |det B|, and the reduced costs as D d."""
 
     def __init__(self, lower, upper, basis, rows, beta, status):
         self.lower = lower
         self.upper = upper
         self.basis = basis          # basis[r] = variable index of row r
-        self.rows = rows            # rows[r] = {column: nonzero entry}
+        self.rows = rows            # rows[r] = {column: nonzero int}
+        self.det = 1                # D; the initial basis is diagonal, +-1
         self.beta = beta            # values of basic variables
         self.status = status        # _AT_LOWER/_AT_UPPER; None when basic
         self.pivots = 0
         self.bound_flips = 0
-        self.d = None               # reduced costs of the last minimize
+        self.d = None               # D d, ints, of the last minimize
 
     def point(self, n):
         x = [self.lower[j] if self.status[j] == _AT_LOWER else self.upper[j]
@@ -142,7 +158,8 @@ class _Tableau:
     def stats(self, phase1_pivots):
         return {"phase1_pivots": phase1_pivots,
                 "phase2_pivots": self.pivots - phase1_pivots,
-                "bound_flips": self.bound_flips}
+                "bound_flips": self.bound_flips,
+                "basis_det": self.det}
 
     def column(self, j):
         """Nonzeros of column j as (row, entry) pairs in row order."""
@@ -150,30 +167,43 @@ class _Tableau:
                 if (v := row.get(j)) is not None]
 
     def pivot(self, r, j, col):
-        """Make x_j basic in row r, given column j's nonzeros `col`: scale
-        row r to 1 at column j and eliminate column j from the other rows.
-        Basic values are the caller's. Returns the scaled row."""
+        """Make x_j basic in row r, given column j's nonzeros `col`, by one
+        integer-preserving step: with p = N[r][j], row r becomes sgn(p) N_r,
+        each other row i becomes (|p| N_i - sgn(p) N_ij N_r) / D, a division
+        that is exact by Sylvester's identity, and D becomes |p|. Basic
+        values are the caller's. Returns the leaving variable and the new
+        row r."""
         rows = self.rows
-        piv = rows[r][j]
-        if piv == 1:
-            prow = rows[r]
-        elif piv == -1:
-            prow = {k: -v for k, v in rows[r].items()}
-        else:
-            prow = {k: _div(v, piv) for k, v in rows[r].items()}
-        rows[r] = prow
+        det = self.det
+        prow = rows[r]
+        p = prow[j]
+        if p < 0:
+            p = -p
+            prow = rows[r] = {k: -v for k, v in prow.items()}
         for i, f in col:
             if i == r:
                 continue
             row = rows[i]
+            if p != 1:
+                for k, v in row.items():
+                    row[k] = p * v
             for k, v in prow.items():
                 w = row.get(k, 0) - f * v
-                if not w:
-                    del row[k]
-                elif type(w) is int:
+                if w:
                     row[k] = w
                 else:
-                    row[k] = _exact(w)
+                    del row[k]
+            if det != 1:
+                for k, v in row.items():
+                    row[k] = v // det
+        if p != det:
+            # the rows with no entry in column j are scaled by |p| / D
+            in_col = {i for i, _ in col}
+            for i, row in enumerate(rows):
+                if i not in in_col:
+                    for k, v in row.items():
+                        row[k] = p * v // det
+        self.det = p
         leaving = self.basis[r]
         self.basis[r] = j
         self.status[j] = None
@@ -181,39 +211,43 @@ class _Tableau:
         return leaving, prow
 
     def minimize(self, cost):
-        """Run Bland-rule simplex on the current basis; returns 'Optimal' or
-        'Unbounded'."""
+        """Run Bland-rule simplex on the current basis, for int costs;
+        returns 'Optimal' or 'Unbounded'."""
         rows, basis, beta = self.rows, self.basis, self.beta
         lower, upper, status = self.lower, self.upper, self.status
-        # reduced costs d = cost - c_B B^{-1} [A | I], kept current below
-        self.d = d = list(cost)
+        # D d = D cost - c_B N, kept current below
+        det = self.det
+        self.d = d = [c * det for c in cost]
         for r, row in enumerate(rows):
             cr = cost[basis[r]]
             if cr:
                 for k, v in row.items():
-                    d[k] = _exact(d[k] - cr * v)
+                    d[k] -= cr * v
         # a fixed variable can never improve
         movable = [up is None or lo != up for lo, up in zip(lower, upper)]
         while True:
+            # D > 0, so D d has the signs of d
             entering = _bland(d, movable, status)
             if entering is None:
                 return "Optimal"
             j, direction = entering
             col = self.column(j)
-            # ratio test: how far can x_j move in `direction`; ties go to
-            # the lowest-index leaving variable
+            det = self.det
+            # ratio test: how far can x_j move in `direction`, with the
+            # tableau entry v / D; ties go to the lowest-index leaving
+            # variable
             best_t = None
             leave_row = None
             leave_bound = None
             for r, v in col:
                 bv = basis[r]
                 if (v > 0) == (direction == 1):
-                    t = _div(beta[r] - lower[bv], abs(v))
+                    t = _div((beta[r] - lower[bv]) * det, abs(v))
                     bound = _AT_LOWER
                 elif upper[bv] is None:
                     continue
                 else:
-                    t = _div(upper[bv] - beta[r], abs(v))
+                    t = _div((upper[bv] - beta[r]) * det, abs(v))
                     bound = _AT_UPPER
                 if (best_t is None or t < best_t
                         or (t == best_t and bv < basis[leave_row])):
@@ -227,7 +261,7 @@ class _Tableau:
                 # bound flip, no basis change, reduced costs unchanged
                 step = flip_t * direction
                 for r, v in col:
-                    beta[r] = _exact(beta[r] - step * v)
+                    beta[r] = _exact(beta[r] - _div(step * v, det))
                 status[j] = _AT_UPPER if direction == 1 else _AT_LOWER
                 self.bound_flips += 1
                 continue
@@ -235,48 +269,61 @@ class _Tableau:
             step = best_t * direction
             for i, v in col:
                 if i != r:
-                    beta[i] = _exact(beta[i] - step * v)
+                    beta[i] = _exact(beta[i] - _div(step * v, det))
             start = lower[j] if direction == 1 else upper[j]
             beta[r] = _exact(start + step)
             leaving, prow = self.pivot(r, j, col)
             status[leaving] = leave_bound
-            dj = d[j]
+            # the D d row is one more row in column j
+            p, f = self.det, d[j]
+            if p != 1:
+                d[:] = [p * v for v in d]
             for k, v in prow.items():
-                d[k] = _exact(d[k] - dj * v)
+                d[k] -= f * v
+            if det != 1:
+                d[:] = [v // det for v in d]
 
 
 def simplex_solve(lp: LinearProgram) -> LPSolution:
     """Two-phase exact simplex; every Optimal result is a vertex with
     A x = b satisfied exactly. `stats` counts the pivots of each phase
     (phase 1 includes driving leftover artificials out of the basis) and
-    the bound flips of both.
+    the bound flips of both, and gives basis_det, the final D.
 
     Every Optimal result proves itself by a dual certificate. Phase 2
     prices with scale * f; the artificial columns of its final tableau hold
-    the row operations G, so their reduced costs are -pi, pi = c_B G. The
-    check recomputes r = scale * f - A'pi from A's nonzeros and demands
-    lower <= x <= upper, x_j = lower_j where r_j > 0 and x_j = upper_j where
-    r_j < 0. Then for any feasible x', scale * f x' = pi b + r x' >=
-    pi b + r x = scale * f x, so x is optimal. `duals` is pi / scale.
+    the row operations G, so their reduced costs are -pi, pi = c_B G, each
+    divided by its row's scale ell_i. The check recomputes
+    r = scale * f - A'pi from A's nonzeros and demands lower <= x <= upper,
+    x_j = lower_j where r_j > 0 and x_j = upper_j where r_j < 0. Then for
+    any feasible x', scale * f x' = pi b + r x' >= pi b + r x = scale * f x,
+    so x is optimal. `duals` is pi / scale.
     """
     m, n = lp.num_constraints, lp.num_vars
     lower = [_exact(v) for v in lp.lower] + [0] * m
     upper = [None if v is None else _exact(v) for v in lp.upper] + [None] * m
+    # row i is scaled by the lcm of its denominators, so the tableau starts
+    # in the integers; this scales artificial i by that factor too
+    ell = [math.lcm(*(a.denominator for a in row.values())) for row in lp.A]
     # start nonbasic at lower bounds; artificials absorb the residual
     resid = [_exact(lp.b[i] - sum(a * lower[j] for j, a in row.items()))
              for i, row in enumerate(lp.A)]
     rows = []
     for i, row in enumerate(lp.A):
         s = 1 if resid[i] >= 0 else -1
-        tr = row.copy() if s == 1 else {j: -a for j, a in row.items()}
+        tr = {j: int(s * a * ell[i]) for j, a in row.items()}
         tr[n + i] = s
         rows.append(tr)
-    beta = [abs(r) for r in resid]
+    beta = [abs(v) * e for v, e in zip(resid, ell)]
     basis = [n + i for i in range(m)]
     status = [_AT_LOWER] * n + [None] * m
     tab = _Tableau(lower, upper, basis, rows, beta, status)
 
-    phase1_cost = [0] * n + [1] * m
+    # phase 1 minimizes lcm(ell) times the sum of the unscaled artificials:
+    # every reduced cost is a positive multiple of the unscaled one, so no
+    # pivot changes
+    big = math.lcm(*ell)
+    phase1_cost = [0] * n + [big // e for e in ell]
     tab.minimize(phase1_cost)
     infeas = sum(tab.beta[r] for r in range(m) if tab.basis[r] >= n)
     if infeas > 0:
@@ -297,8 +344,8 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
     phase1_pivots = tab.pivots
 
     # phase 2 prices with the objective times the lcm of its denominators:
-    # a positive factor changes no sign, so no pivot changes, and the
-    # reduced costs stay integers wherever the tableau does
+    # a positive factor changes no sign, so no pivot changes, and D d stays
+    # in the integers
     scale = math.lcm(*(v.denominator for v in lp.objective))
     phase2_cost = [_exact(v * scale) for v in lp.objective] + [0] * m
     outcome = tab.minimize(phase2_cost)
@@ -310,8 +357,9 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
     for row, rhs in zip(lp.A, lp.b):
         if sum(a * x[j] for j, a in row.items()) != rhs:
             raise AssertionError("simplex returned a point with A x != b")
-    # dual certificate, in the integers phase 2 prices with
-    pi = [-v for v in tab.d[n:]]
+    # dual certificate, in the phase-2 units of 1/scale; the D d row holds
+    # D times artificial i's reduced cost, -pi_i / ell_i
+    pi = [_div(-v * e, tab.det) for v, e in zip(tab.d[n:], ell)]
     r = phase2_cost[:n]
     for row, p in zip(lp.A, pi):
         if p:

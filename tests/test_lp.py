@@ -6,9 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dense_simplex_reference as dense_reference
 from dense_simplex_reference import simplex_solve as dense_simplex_solve
 from helpers import IntMatrix, snf
 from ohcp import lp as lp_module
@@ -385,3 +386,178 @@ class TestDualCertificate:
             else:
                 bound += rj * lo
         assert bound == sol.objective
+
+
+@st.composite
+def rational_lps(draw):
+    """`bounded_lps` with entries a / q, q in {1, 2, 3, 4}, in A, so that
+    each row is scaled by the lcm of its denominators before the tableau
+    starts; half of them get b = A x0 anew for a point x0 in the box."""
+    lp = draw(bounded_lps())
+    A = [{j: Fraction(a, draw(st.sampled_from([1, 2, 3, 4])))
+          for j, a in row.items()} for row in lp.A]
+    b = lp.b
+    if draw(st.booleans()):
+        x0 = [lo + draw(st.integers(0, 2 if up is None else int(up - lo)))
+              for lo, up in zip(lp.lower, lp.upper)]
+        b = [sum(a * x0[j] for j, a in row.items()) for row in A]
+    return LinearProgram(objective=lp.objective, A=A, b=b, lower=lp.lower,
+                         upper=lp.upper)
+
+
+class _CountingStatus(dict):
+    """The dense reference's map of nonbasic statuses, counting what it is
+    told: the reference deletes a variable's entry exactly when a pivot
+    makes it basic, and overwrites an entry only in a bound flip."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pivots = self.bound_flips = 0
+
+    def __delitem__(self, j):
+        self.pivots += 1
+        super().__delitem__(j)
+
+    def __setitem__(self, j, bound):
+        self.bound_flips += j in self
+        super().__setitem__(j, bound)
+
+
+def reference_path(lp, monkeypatch):
+    """`reference_solve(lp)` and the pivot counts it took, in the form of
+    `pivot_counts`: phase 1 pivots are those made before the second
+    minimize starts."""
+    tabs, phase1 = [], []
+    init = dense_reference._Tableau.__init__
+    minimize = dense_reference._Tableau.minimize
+
+    def counting_init(tab, A, lower, upper, basis, T, beta, status):
+        init(tab, A, lower, upper, basis, T, beta, _CountingStatus(status))
+        tabs.append(tab)
+
+    def marking_minimize(tab, cost):
+        phase1.append(tab.status.pivots)
+        return minimize(tab, cost)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dense_reference._Tableau, "__init__", counting_init)
+        patch.setattr(dense_reference._Tableau, "minimize", marking_minimize)
+        sol = reference_solve(lp)
+    status = tabs[0].status
+    first = phase1[1] if len(phase1) > 1 else status.pivots
+    return sol, (first, status.pivots - first, status.bound_flips)
+
+
+class TestRationalRows:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lp=rational_lps())
+    def test_same_path_and_outcome_as_dense_reference(self, lp, monkeypatch):
+        sol = simplex_solve(lp)
+        ref, counts = reference_path(lp, monkeypatch)
+        assert same_outcome(sol, ref)
+        assert pivot_counts(sol) == counts
+
+
+def spy_on_tableau(monkeypatch):
+    """Check, before every pivot and after every minimize, that the tableau
+    rows and the D d row hold ints only; returns the (|p|, D) of each
+    pivot."""
+    seen = []
+    pivot, minimize = lp_module._Tableau.pivot, lp_module._Tableau.minimize
+
+    def all_int(tab):
+        return (all(type(v) is int for row in tab.rows for v in row.values())
+                and (tab.d is None or all(type(v) is int for v in tab.d))
+                and type(tab.det) is int and tab.det > 0)
+
+    def checked_pivot(tab, r, j, col):
+        assert all_int(tab)
+        seen.append((abs(tab.rows[r][j]), tab.det))
+        return pivot(tab, r, j, col)
+
+    def checked_minimize(tab, cost):
+        outcome = minimize(tab, cost)
+        assert all_int(tab)
+        return outcome
+
+    monkeypatch.setattr(lp_module._Tableau, "pivot", checked_pivot)
+    monkeypatch.setattr(lp_module._Tableau, "minimize", checked_minimize)
+    return seen
+
+
+def random_non_tu_lps(rng, count):
+    """`count` random OHCP LPs per non-orientable surface and variant at
+    p = 1: random chains, weights and y-weights."""
+    from ohcp import fixtures
+    from ohcp.solver import OHCPInstance, assemble
+    weights = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
+               Fraction(5, 3)]
+    for K in (fixtures.mobius_strip(), fixtures.projective_plane()):
+        m, n = K.count(1), K.count(2)
+        for variant in ("L1", "L0Box", "TotalWeight"):
+            for _ in range(count):
+                top = 1 if variant == "L0Box" else 2
+                inst = OHCPInstance(
+                    K=K, p=1, c=[rng.randint(-top, top) for _ in range(m)],
+                    weights=[1] * m if variant == "L0Box"
+                    else [rng.choice(weights) for _ in range(m)],
+                    variant=variant,
+                    y_weights=[rng.choice(weights) for _ in range(n)]
+                    if variant == "TotalWeight" else None)
+                yield assemble(inst)
+
+
+class TestIntegerTableau:
+    def test_non_tu_ohcp_lps_match_dense_reference(self, monkeypatch):
+        seen = spy_on_tableau(monkeypatch)
+        fractional = 0
+        for lp in random_non_tu_lps(random.Random(20261018), 8):
+            sol = simplex_solve(lp)
+            ref, counts = reference_path(lp, monkeypatch)
+            assert same_outcome(sol, ref)
+            assert pivot_counts(sol) == counts
+            fractional += any(v.denominator != 1 for v in sol.x)
+        assert fractional
+        # D reaches 2, and some pivots rescale the rows outside column j
+        assert max(det for _, det in seen) >= 2
+        assert any(p != det for p, det in seen)
+
+
+def fixture_is_tu(name):
+    from ohcp import fixtures
+    from ohcp.tu import tu_verdict
+    K = getattr(fixtures, name)()
+    if name == "hourglass":
+        K = K[0]
+    return tu_verdict(K, K.dim - 1).status == "TU"
+
+
+class TestBasisDeterminant:
+    """`stats["basis_det"]` is D = |det B| of the final basis."""
+
+    def test_one_on_every_tu_fixture(self):
+        tu = {name: fixture_is_tu(name)
+              for name in {key.rsplit("-", 1)[0] for key in FIXTURE_PIVOTS}}
+        assert sum(tu.values()) >= 8
+        for name, lp in fixture_lps():
+            if tu[name.rsplit("-", 1)[0]]:
+                assert simplex_solve(lp).stats["basis_det"] == 1, name
+
+    def test_denominators_divide_it(self):
+        fractional = []
+        for name, lp in fixture_lps():
+            sol = simplex_solve(lp)
+            det = sol.stats["basis_det"]
+            assert all(det % v.denominator == 0 for v in sol.x), name
+            if any(v.denominator != 1 for v in sol.x):
+                fractional.append(name)
+                assert det >= 2, name
+        assert fractional
+
+    def test_small_cases(self):
+        # no pivot leaves the initial D = 1; 3 x = 1 ends on the basis (3)
+        for lp, det in ((LinearProgram(objective=[0], A=[{0: 1}], b=[-1]), 1),
+                        (LinearProgram(objective=[-1], A=[{}], b=[0]), 1),
+                        (LinearProgram(objective=[1], A=[{0: 3}], b=[1]), 3)):
+            assert simplex_solve(lp).stats["basis_det"] == det
