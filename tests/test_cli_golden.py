@@ -3,7 +3,9 @@
 For each complex in `ohcp.fixtures` and each dimension a command accepts,
 the exit code, stdout and stderr of `boundary`, `snf` on that boundary's
 .mat text, `tu` by every method, `torsion-scan` and `homology` are compared
-with tests/expected/cli_fixtures.txt. Regenerate that file after a
+with tests/expected/cli_fixtures.txt, and so are those of `solve` at one
+below the top dimension in every variant, with chain entries cycling 1, -1,
+0, weights cycling 1, 2, 3 (identity for l0) and y-weights cycling 1, 2. Regenerate that file after a
 deliberate output change with
 
     PYTHONPATH=src:tests python tests/test_cli_golden.py --write
@@ -43,8 +45,15 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _commands(name, K, scx, mat):
-    """(display argv, argv) pairs; `mat(q)` writes the q-boundary .mat."""
+def _cycling(K, q, values):
+    """.chn or .wts text giving the q-simplices of K `values` in turn."""
+    return "".join(f"{values[i % len(values)]} " + " ".join(map(str, s))
+                   + "\n" for i, s in enumerate(K.simplices(q)))
+
+
+def _commands(name, K, scx, mat, write):
+    """(display argv, argv) pairs; `mat(q)` writes the q-boundary .mat and
+    `write(file name, text)` any other input file."""
     for q in range(1, K.dim + 1):
         yield f"boundary {name} --dim {q}", \
             ["boundary", "--complex", scx, "--dim", str(q)]
@@ -61,24 +70,39 @@ def _commands(name, K, scx, mat):
     for p in range(K.dim + 1):
         yield f"homology {name} --dim {p}", \
             ["homology", "--complex", scx, "--dim", str(p)]
+    p = K.dim - 1
+    chain = ["--chain", write(f"{name}.chn", _cycling(K, p, (1, -1, 0)))]
+    weights = ["--weights", write(f"{name}.wts", _cycling(K, p, (1, 2, 3)))]
+    y_weights = ["--y-weights",
+                 write(f"{name}.y.wts", _cycling(K, p + 1, (1, 2)))]
+    for variant, extra in (("l1", weights), ("l0", []),
+                           ("total", weights + y_weights)):
+        yield f"solve {name} --dim {p} --variant {variant}", \
+            ["solve", "--complex", scx, "--dim", str(p), "--variant",
+             variant] + chain + extra
 
 
 def transcript():
     parts = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
+
+        def write(file, text):
+            path = tmp / file
+            path.write_text(text)
+            return str(path)
+
         for name, K in COMPLEXES.items():
-            scx = tmp / f"{name}.scx"
-            scx.write_text(write_complex(K))
+            scx = write(f"{name}.scx", write_complex(K))
 
             def mat(q, name=name, scx=scx):
                 path = tmp / f"{name}.b{q}.mat"
-                _, out, _ = _run(["boundary", "--complex", str(scx),
+                _, out, _ = _run(["boundary", "--complex", scx,
                                   "--dim", str(q)])
                 path.write_text(out)
                 return str(path)
 
-            for shown, argv in _commands(name, K, str(scx), mat):
+            for shown, argv in _commands(name, K, scx, mat, write):
                 code, out, err = _run(argv)
                 parts.append(f"$ ohcp {shown}\nexit {code}\n"
                              f"--- stdout\n{out}--- stderr\n{err}")
