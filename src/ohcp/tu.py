@@ -44,7 +44,6 @@ class CycleComplexWitness:
     q: int
     simplices: list             # ordered q-simplex indices around the cycle
     shared_faces: list          # shared_faces[i] between simplices i-1 and i
-    orientable: bool
 
 
 def _verify_witness(cols, rows_w, cols_w):
@@ -183,8 +182,7 @@ def is_tu_minor_enumeration(cols, col_cap: int = 16) -> TUVerdict:
 
 
 def find_mobius_subcomplex(K: SimplicialComplex, q: int,
-                           budget: int = 10 ** 6,
-                           want_orientable: bool = False):
+                           budget: int = 10 ** 6):
     """Search for a non-orientable cycle complex of q-simplices.
 
     Cycle complexes are cyclic sequences where consecutive simplices share
@@ -199,9 +197,6 @@ def find_mobius_subcomplex(K: SimplicialComplex, q: int,
     recursion limit, and it counts for each (q-1)-face the inner path
     members (all but the first and the last) having it, so testing a
     candidate touches only its q+1 faces.
-
-    With want_orientable=True returns the first orientable cycle complex
-    instead (used by tests to confirm cylinders are found).
     """
     B = K.boundary_columns(q)     # InputError unless 1 <= q <= K.dim
     n = len(B)
@@ -270,11 +265,9 @@ def find_mobius_subcomplex(K: SimplicialComplex, q: int,
                     k = len(cycle)
                     rows = [{(i - 1) % k: B[cycle[i - 1]][f],
                              i: B[cycle[i]][f]} for i, f in enumerate(faces)]
-                    orientable = parity_coloring(rows, k) is not None
-                    if orientable == want_orientable:
+                    if parity_coloring(rows, k) is None:
                         return CycleComplexWitness(q=q, simplices=cycle,
-                                                   shared_faces=faces,
-                                                   orientable=orientable)
+                                                   shared_faces=faces)
             if not closes or len(path) == 1:
                 if len(path) > 1:       # the old tail becomes inner
                     for f in B[tail]:

@@ -2,15 +2,42 @@
 
 `_Tableau` and `simplex_solve` below are kept verbatim from the dense
 implementation (full-width Fraction rows, reduced costs recomputed on every
-pricing pass). The sparse solver must take the same pivots, so on every LP
-both return the same status, point, basis and objective; tests/test_lp.py
-checks that on random LPs.
+pricing pass), a general two-phase simplex with lower bounds, artificials
+and Infeasible/Unbounded outcomes. On an OHCP LP its phase 1 ends on the
+crash basis that `ohcp.lp` starts from, so the sparse solver must take the
+same phase-2 pivots and return the same point, basis and objective;
+tests/test_lp.py checks that on random OHCP LPs.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ohcp.lp import LinearProgram, LPSolution
+
+@dataclass
+class LinearProgram:
+    """min f'x  s.t.  A x = b,  lower <= x <= upper, A as dense rows."""
+    objective: list
+    A: list
+    b: list
+    lower: list
+    upper: list                      # Fraction or None (+inf)
+
+    @property
+    def num_vars(self):
+        return len(self.objective)
+
+    @property
+    def num_constraints(self):
+        return len(self.b)
+
+
+@dataclass
+class LPSolution:
+    status: str                      # Optimal | Infeasible | Unbounded
+    x: list = None
+    objective: Fraction = None
+    basis: list = field(default_factory=list)
 
 _AT_LOWER = "L"
 _AT_UPPER = "U"

@@ -1,7 +1,6 @@
-"""Exact simplex solver versus a brute-force vertex enumerator."""
-import copy
+"""The one-phase OHCP simplex versus the frozen two-phase reference and a
+brute-force vertex enumerator."""
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -10,11 +9,28 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dense_simplex_reference as dense_reference
-from dense_simplex_reference import simplex_solve as dense_simplex_solve
-from helpers import IntMatrix, snf
+from helpers import IntMatrix
 from ohcp import lp as lp_module
 from ohcp.lp import LinearProgram, simplex_solve
 from square_solve import solve_square
+
+
+def ohcp_lp(B, c, cost, box=False):
+    """The LP [I -I -B B] x = c, x >= 0, of the int rows B (one per entry of
+    c, all of one length), with column costs `cost`; boxed, x^+, x^- <= 1."""
+    m, n = len(B), len(B[0])
+    rows = [{i: 1, m + i: -1} for i in range(m)]
+    for i, Bi in enumerate(B):
+        for j, e in enumerate(Bi):
+            if e:
+                rows[i][2 * m + j] = -e
+                rows[i][2 * m + n + j] = e
+    return LinearProgram(objective=cost, A=rows, b=c, box=box)
+
+
+def upper_bounds(lp):
+    m = lp.num_constraints
+    return [1 if lp.box else None] * (2 * m) + [None] * (lp.num_vars - 2 * m)
 
 
 def dense(lp):
@@ -23,225 +39,175 @@ def dense(lp):
 
 
 def reference_solve(lp):
-    """The frozen dense simplex on a copy of `lp` whose A is dense rows, the
-    form that reference reads."""
-    view = copy.copy(lp)
-    view.A = dense(lp)
-    return dense_simplex_solve(view)
+    """The frozen two-phase dense simplex on `lp`, in the general form that
+    reference reads."""
+    general = dense_reference.LinearProgram(
+        objective=lp.objective, A=dense(lp), b=lp.b,
+        lower=[0] * lp.num_vars, upper=upper_bounds(lp))
+    return dense_reference.simplex_solve(general)
 
 
 def enumerate_vertices(lp):
-    """All basic feasible points: pick M basic columns, pin every nonbasic
-    variable to one of its finite bounds, solve, filter by feasibility.
+    """All basic feasible points: pick m basic columns, pin every nonbasic
+    variable to 0 or, under the box, 1, solve, filter by feasibility.
 
-    Valid whenever A has full row rank and every variable has a finite lower
-    bound; with finite boxes this hits an optimum of any bounded LP.
+    The first m columns of A are I, so A has full row rank; every variable
+    is >= 0 and every cost too, so the LP is bounded and an optimum is among
+    these points.
     """
-    m, n = lp.num_constraints, lp.num_vars
+    m, N = lp.num_constraints, lp.num_vars
     A = dense(lp)
+    upper = upper_bounds(lp)
     points = []
-    for basic in itertools.combinations(range(n), m):
-        sub = [[A[i][j] for j in basic] for i in range(m)]
-        nonbasic = [j for j in range(n) if j not in basic]
-        choices = []
-        for j in nonbasic:
-            opts = [lp.lower[j]]
-            if lp.upper[j] is not None and lp.upper[j] != lp.lower[j]:
-                opts.append(lp.upper[j])
-            choices.append(opts)
-        for assign in itertools.product(*choices):
-            rhs = [lp.b[i] - sum(A[i][j] * v
-                                 for j, v in zip(nonbasic, assign))
+    for basic in itertools.combinations(range(N), m):
+        sub = IntMatrix([[A[i][j] for j in basic] for i in range(m)])
+        nonbasic = [j for j in range(N) if j not in basic]
+        for assign in itertools.product(*([0] if upper[j] is None else [0, 1]
+                                          for j in nonbasic)):
+            rhs = [lp.b[i] - sum(A[i][j] * v for j, v in zip(nonbasic, assign))
                    for i in range(m)]
-            den = math.lcm(*[e.denominator for row in sub for e in row])
-            scaled = IntMatrix([[int(e * den) for e in row] for row in sub])
-            sol = solve_square(scaled, [r * den for r in rhs])
+            sol = solve_square(sub, rhs)
             if sol is None:
                 continue
-            x = [Fraction(0)] * n
+            x = [0] * N
             for j, v in zip(nonbasic, assign):
                 x[j] = v
-            ok = True
             for j, v in zip(basic, sol):
-                if v < lp.lower[j] or (lp.upper[j] is not None and v > lp.upper[j]):
-                    ok = False
-                    break
                 x[j] = v
-            if ok:
+            if all(v >= 0 and (up is None or v <= up)
+                   for v, up in zip(x, upper)):
                 points.append(x)
     return points
 
 
 def best_vertex_objective(lp):
-    pts = enumerate_vertices(lp)
-    if not pts:
-        return None
-    return min(sum(c * v for c, v in zip(lp.objective, x)) for x in pts)
+    return min(sum(c * v for c, v in zip(lp.objective, x))
+               for x in enumerate_vertices(lp))
 
 
 def random_lp(rng):
-    """Random full-row-rank system with finite boxes (always bounded)."""
-    while True:
-        n = rng.randint(2, 6)
-        m = rng.randint(1, min(4, n - 1))
-        A = [{j: a for j in range(n) if (a := rng.randint(-3, 3))}
-             for _ in range(m)]
-        if len(snf(IntMatrix([[row.get(j, 0) for j in range(n)]
-                              for row in A]))) < m:
-            continue
-        lower = [Fraction(rng.randint(-2, 0)) for _ in range(n)]
-        upper = [lo + rng.randint(1, 4) for lo in lower]
-        # right-hand side from a random feasible interior-ish point
-        x0 = [lo + Fraction(rng.randint(0, int(up - lo)))
-              for lo, up in zip(lower, upper)]
-        b = [sum(a * x0[j] for j, a in row.items()) for row in A]
-        f = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
-        return LinearProgram(objective=f, A=A, b=b, lower=lower, upper=upper)
+    """A random OHCP LP: B with entries in [-2, 2], so often not TU, costs
+    k / 2 for k in 0..4, and either the box with |c_i| <= 1 or no box with
+    |c_i| <= 2."""
+    m, n = rng.randint(1, 3), rng.randint(1, 2)
+    B = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+    box = rng.random() < 0.5
+    top = 1 if box else 2
+    c = [rng.randint(-top, top) for _ in range(m)]
+    cost = [Fraction(rng.randint(0, 4), 2) for _ in range(2 * m + 2 * n)]
+    return ohcp_lp(B, c, cost, box)
 
 
 class TestBasics:
     def test_pinned_variable(self):
-        lp = LinearProgram(objective=[1], A=[{0: 1}], b=[5])
-        sol = simplex_solve(lp)
-        assert sol.status == "Optimal"
-        assert sol.x == [5] and sol.objective == 5
+        sol = simplex_solve(ohcp_lp([[]], [5], [1, 1]))
+        assert sol.x == [5, 0] and sol.objective == 5
+        assert sol.stats["pivots"] == 0
 
-    def test_infeasible(self):
-        lp = LinearProgram(objective=[0], A=[{0: 1}], b=[-1])
-        assert simplex_solve(lp).status == "Infeasible"
-
-    def test_unbounded(self):
-        lp = LinearProgram(objective=[-1], A=[{}], b=[0])
-        assert simplex_solve(lp).status == "Unbounded"
+    def test_crash_basis_negates_rows(self):
+        # c < 0 starts on x^-, with no pivot
+        sol = simplex_solve(ohcp_lp([[]], [-2], [1, 3]))
+        assert sol.x == [0, 2] and sol.objective == 6
+        assert sol.basis == [1] and sol.stats["pivots"] == 0
 
     def test_box_vertex(self):
-        lp = LinearProgram(objective=[1, 1], A=[{0: 1, 1: -1}], b=[1],
-                           upper=[3, 3])
-        sol = simplex_solve(lp)
-        assert sol.status == "Optimal"
-        assert sol.x == [1, 0] and sol.objective == 1
+        # x = c + y (1, 1, 1): unboxed, y = -1 gives x = (0, 0, -2), cost 2;
+        # boxed, |x_i| <= 1 forces y = 0 and x = c, cost 3
+        B, c, cost = [[1], [1], [1]], [1, 1, -1], [1] * 6 + [0, 0]
+        assert simplex_solve(ohcp_lp(B, c, cost)).objective == 2
+        sol = simplex_solve(ohcp_lp(B, c, cost, box=True))
+        assert sol.objective == 3 and sol.x[6:] == [0, 0]
 
     def test_exact_rationals(self):
-        lp = LinearProgram(objective=[1], A=[{0: 3}], b=[1])
-        sol = simplex_solve(lp)
-        assert sol.x == [Fraction(1, 3)]
+        # x = 1 + 3 y is 0 at y = -1/3
+        sol = simplex_solve(ohcp_lp([[3]], [1], [1, 1, 0, 0]))
+        assert sol.x == [0, 0, 0, Fraction(1, 3)] and sol.objective == 0
 
-    def test_column_index_out_of_range(self):
-        for j in (-1, 2):
-            with pytest.raises(ValueError):
-                LinearProgram(objective=[1, 1], A=[{j: 1}], b=[1])
+    def test_unbounded(self):
+        # a negative cost breaks the contract: y^+ improves without limit,
+        # and a ratio test with no limit is a bug
+        lp = ohcp_lp([[1]], [0], [0, 0, -1, 0])
+        with pytest.raises(AssertionError, match="improving ray"):
+            simplex_solve(lp)
+
+    def test_infeasible(self):
+        # a boxed chain entry 2 breaks the contract: the crash basis starts
+        # outside the box, and the bounds check refuses the point
+        with pytest.raises(AssertionError, match="outside its bounds"):
+            simplex_solve(ohcp_lp([[]], [2], [1, 1], box=True))
 
 
 class TestAgainstVertexEnumeration:
     def test_fifty_random_lps(self):
         rng = random.Random(20260823)
-        solved = 0
-        for _ in range(60):
+        for _ in range(50):
             lp = random_lp(rng)
             sol = simplex_solve(lp)
-            oracle = best_vertex_objective(lp)
-            assert oracle is not None  # built around a feasible point
-            assert sol.status == "Optimal"
-            assert sol.objective == oracle
+            assert sol.objective == best_vertex_objective(lp)
             for row, rhs in zip(lp.A, lp.b):
                 assert sum(a * sol.x[j] for j, a in row.items()) == rhs
-            solved += 1
-        assert solved >= 50
-
-    def test_infeasible_random_systems_detected(self):
-        rng = random.Random(99)
-        for _ in range(20):
-            lp = random_lp(rng)
-            # push b out of reach of the box
-            reach = sum(abs(a) * max(abs(lp.lower[j]), abs(lp.upper[j]))
-                        for j, a in lp.A[0].items())
-            bad = LinearProgram(objective=lp.objective, A=lp.A,
-                                b=[reach + 1] + lp.b[1:],
-                                lower=lp.lower, upper=lp.upper)
-            assert simplex_solve(bad).status == "Infeasible"
-
-
-def beale_lp():
-    """Beale's classic cycling LP in standard form with slacks."""
-    A = [
-        {0: Fraction(1, 4), 1: -60, 2: Fraction(-1, 25), 3: 9, 4: 1},
-        {0: Fraction(1, 2), 1: -90, 2: Fraction(-1, 50), 3: 3, 5: 1},
-        {2: 1, 6: 1},
-    ]
-    f = [Fraction(-3, 4), 150, Fraction(-1, 50), 6, 0, 0, 0]
-    return LinearProgram(objective=f, A=A, b=[0, 0, 1])
-
-
-class TestBlandTermination:
-    def test_beale_cycling_example(self):
-        sol = simplex_solve(beale_lp())
-        assert sol.status == "Optimal"
-        assert sol.objective == Fraction(-1, 20)
 
 
 class TestIntegrality:
     def test_tu_system_gives_integral_vertex(self):
         from ohcp.complexes import boundary_matrix
         from ohcp import fixtures
-        B = IntMatrix(boundary_matrix(fixtures.tetrahedron_surface(), 2))
-        n = B.n
-        lp = LinearProgram(objective=[1] * n, A=B.sparse_rows(), b=[0] * B.m,
-                           lower=[-2] * n, upper=[2] * n)
-        sol = simplex_solve(lp)
-        assert sol.status == "Optimal"
+        B = boundary_matrix(fixtures.tetrahedron_surface(), 2)
+        m, n = len(B), len(B[0])
+        c = [(1, -1, 0)[i % 3] for i in range(m)]
+        sol = simplex_solve(ohcp_lp(B, c, [1] * (2 * m) + [0] * (2 * n)))
         assert all(v.denominator == 1 for v in sol.x)
 
     def test_non_tu_fractional_vertex(self):
-        lp = LinearProgram(objective=[1], A=[{0: 2}], b=[1])
-        sol = simplex_solve(lp)
+        sol = simplex_solve(ohcp_lp([[2]], [1], [1, 1, 0, 0]))
         assert not all(v.denominator == 1 for v in sol.x)
 
     def test_zero_solution_is_integral(self):
-        lp = LinearProgram(objective=[1, 1], A=[{0: 1, 1: 1}], b=[0])
-        assert all(v.denominator == 1 for v in simplex_solve(lp).x)
+        sol = simplex_solve(ohcp_lp([[1, 2]], [0], [1, 1, 1, 1, 1, 1]))
+        assert sol.x == [0] * 6
 
 
-# Pivot counts (phase 1 including the clean-up of leftover artificials,
-# phase 2, bound flips) that the dense Fraction simplex took on the LP of
-# each bundled fixture; the sparse solver must take the same path. No
+# (pivots, bound flips) that the dense Fraction simplex took in phase 2 on
+# the LP of each bundled fixture; its phase 1 took m pivots and ended on the
+# crash basis, and the sparse solver must take the same path from there. No
 # fixture LP takes a bound flip; test_bound_flip_counted covers that count.
 FIXTURE_PIVOTS = {
-    "triangle-L1": (3, 1, 0),
-    "triangle-L0Box": (3, 2, 0),
-    "triangle-TotalWeight": (3, 1, 0),
-    "hollow_triangle-L1": (3, 3, 0),
-    "hollow_triangle-L0Box": (3, 2, 0),
-    "hollow_triangle-TotalWeight": (3, 3, 0),
-    "tetrahedron_surface-L1": (6, 4, 0),
-    "tetrahedron_surface-L0Box": (6, 5, 0),
-    "tetrahedron_surface-TotalWeight": (6, 5, 0),
-    "disk_fan-L1": (13, 6, 0),
-    "disk_fan-L0Box": (13, 4, 0),
-    "disk_fan-TotalWeight": (13, 2, 0),
-    "cylinder-L1": (12, 12, 0),
-    "cylinder-L0Box": (12, 7, 0),
-    "cylinder-TotalWeight": (12, 5, 0),
-    "mobius_strip-L1": (12, 5, 0),
-    "mobius_strip-L0Box": (12, 6, 0),
-    "mobius_strip-TotalWeight": (12, 3, 0),
-    "projective_plane-L1": (15, 12, 0),
-    "projective_plane-L0Box": (15, 19, 0),
-    "projective_plane-TotalWeight": (15, 12, 0),
-    "torus-L1": (21, 30, 0),
-    "torus-L0Box": (21, 26, 0),
-    "torus-TotalWeight": (21, 17, 0),
-    "seven_tetrahedra-L1": (19, 10, 0),
-    "seven_tetrahedra-L0Box": (19, 8, 0),
-    "seven_tetrahedra-TotalWeight": (19, 4, 0),
-    "two_tetrahedra-L1": (7, 2, 0),
-    "two_tetrahedra-L0Box": (7, 2, 0),
-    "two_tetrahedra-TotalWeight": (7, 2, 0),
-    "solid_octahedron-L1": (12, 7, 0),
-    "solid_octahedron-L0Box": (12, 6, 0),
-    "solid_octahedron-TotalWeight": (12, 5, 0),
-    "hourglass-L1": (21, 27, 0),
-    "hourglass-L0Box": (21, 12, 0),
-    "hourglass-TotalWeight": (21, 17, 0),
+    "triangle-L1": (1, 0),
+    "triangle-L0Box": (2, 0),
+    "triangle-TotalWeight": (1, 0),
+    "hollow_triangle-L1": (3, 0),
+    "hollow_triangle-L0Box": (2, 0),
+    "hollow_triangle-TotalWeight": (3, 0),
+    "tetrahedron_surface-L1": (4, 0),
+    "tetrahedron_surface-L0Box": (5, 0),
+    "tetrahedron_surface-TotalWeight": (5, 0),
+    "disk_fan-L1": (6, 0),
+    "disk_fan-L0Box": (4, 0),
+    "disk_fan-TotalWeight": (2, 0),
+    "cylinder-L1": (12, 0),
+    "cylinder-L0Box": (7, 0),
+    "cylinder-TotalWeight": (5, 0),
+    "mobius_strip-L1": (5, 0),
+    "mobius_strip-L0Box": (6, 0),
+    "mobius_strip-TotalWeight": (3, 0),
+    "projective_plane-L1": (12, 0),
+    "projective_plane-L0Box": (19, 0),
+    "projective_plane-TotalWeight": (12, 0),
+    "torus-L1": (30, 0),
+    "torus-L0Box": (26, 0),
+    "torus-TotalWeight": (17, 0),
+    "seven_tetrahedra-L1": (10, 0),
+    "seven_tetrahedra-L0Box": (8, 0),
+    "seven_tetrahedra-TotalWeight": (4, 0),
+    "two_tetrahedra-L1": (2, 0),
+    "two_tetrahedra-L0Box": (2, 0),
+    "two_tetrahedra-TotalWeight": (2, 0),
+    "solid_octahedron-L1": (7, 0),
+    "solid_octahedron-L0Box": (6, 0),
+    "solid_octahedron-TotalWeight": (5, 0),
+    "hourglass-L1": (27, 0),
+    "hourglass-L0Box": (12, 0),
+    "hourglass-TotalWeight": (17, 0),
 }
 
 
@@ -273,136 +239,12 @@ def fixture_lps():
 
 
 def pivot_counts(sol):
-    s = sol.stats
-    return s["phase1_pivots"], s["phase2_pivots"], s["bound_flips"]
+    return sol.stats["pivots"], sol.stats["bound_flips"]
 
 
-class TestPivotPath:
-    def test_fixture_pivot_counts_pinned(self):
-        got = {name: pivot_counts(simplex_solve(lp))
-               for name, lp in fixture_lps()}
-        assert got == FIXTURE_PIVOTS
-
-    def test_bound_flip_counted(self):
-        # x0 <= 1 flips to its upper bound before the artificial (value 5)
-        # can leave; x1 then enters and drives the artificial out
-        lp = LinearProgram(objective=[-1, 0], A=[{0: 1, 1: 1}], b=[5],
-                           upper=[1, None])
-        sol = simplex_solve(lp)
-        assert sol.x == [1, 4]
-        assert pivot_counts(sol) == (1, 0, 1)
-
-    def test_stats_on_infeasible_and_unbounded(self):
-        infeasible = simplex_solve(LinearProgram(objective=[0], A=[{0: 1}],
-                                                 b=[-1]))
-        assert pivot_counts(infeasible) == (0, 0, 0)
-        unbounded = simplex_solve(LinearProgram(objective=[-1], A=[{}],
-                                                b=[0]))
-        assert pivot_counts(unbounded) == (0, 0, 0)
-
-    def test_fixture_lps_match_dense_reference(self):
-        for name, lp in fixture_lps():
-            assert same_outcome(simplex_solve(lp), reference_solve(lp)), name
-
-
-def same_outcome(a, b):
-    return (a.status, a.x, a.basis, a.objective) == \
-        (b.status, b.x, b.basis, b.objective)
-
-
-# costs come from a small pool so that reduced-cost ties are common
-_COSTS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
-                          Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)])
-
-
-@st.composite
-def bounded_lps(draw):
-    """Small LPs: integer entries in [-2, 2], rational costs, lower bounds
-    in [-2, 0] (some halves), an upper bound on some variables (some of
-    them fixed), and a right-hand side that is either A x0 for a point x0
-    in the box or drawn freely (often infeasible)."""
-    m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 6))
-    A = [{j: a for j in range(n) if (a := draw(st.integers(-2, 2)))}
-         for _ in range(m)]
-    f = [draw(_COSTS) for _ in range(n)]
-    lower = [Fraction(draw(st.integers(-4, 0)), draw(st.sampled_from([1, 2])))
-             for _ in range(n)]
-    upper = [lo + draw(st.integers(0, 3)) if draw(st.booleans()) else None
-             for lo in lower]
-    if draw(st.booleans()):
-        x0 = [lo + draw(st.integers(0, 2 if up is None else int(up - lo)))
-              for lo, up in zip(lower, upper)]
-        b = [sum(a * x0[j] for j, a in row.items()) for row in A]
-    else:
-        b = [Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 3])))
-             for _ in range(m)]
-    return LinearProgram(objective=f, A=A, b=b, lower=lower, upper=upper)
-
-
-class TestAgainstDenseReference:
-    @settings(max_examples=300, deadline=None)
-    @given(bounded_lps())
-    def test_same_status_point_basis_objective(self, lp):
-        assert same_outcome(simplex_solve(lp), reference_solve(lp))
-
-    def test_beale_matches(self):
-        lp = beale_lp()
-        assert same_outcome(simplex_solve(lp), reference_solve(lp))
-
-
-class TestDualCertificate:
-    def test_early_stop_fails_the_certificate(self, monkeypatch):
-        # phase 1 ends on x = (0, 0), which is feasible but not optimal; a
-        # pricing that finds no entering column stops phase 2 right there
-        lp = LinearProgram(objective=[-1, 0], A=[{0: 1, 1: -1}], b=[0],
-                           upper=[5, 5])
-        assert simplex_solve(lp).objective == -5
-        monkeypatch.setattr(lp_module, "_bland", lambda *args: None)
-        with pytest.raises(AssertionError, match="dual certificate"):
-            simplex_solve(lp)
-
-    @settings(max_examples=300, deadline=None)
-    @given(bounded_lps())
-    def test_duals_bound_every_feasible_point(self, lp):
-        # weak duality, recomputed here: with r = f - A'y, every feasible x'
-        # has f x' = y b + r x' >= y b + sum_j min(r_j lower_j, r_j upper_j),
-        # a finite bound only when r_j < 0 has an upper bound to meet
-        sol = simplex_solve(lp)
-        if sol.status != "Optimal":
-            assert sol.duals is None
-            return
-        y = sol.duals
-        assert len(y) == lp.num_constraints
-        r = list(lp.objective)
-        for row, yi in zip(lp.A, y):
-            for j, a in row.items():
-                r[j] -= a * yi
-        bound = sum(yi * bi for yi, bi in zip(y, lp.b))
-        for rj, lo, up in zip(r, lp.lower, lp.upper):
-            if rj < 0:
-                assert up is not None
-                bound += rj * up
-            else:
-                bound += rj * lo
-        assert bound == sol.objective
-
-
-@st.composite
-def rational_lps(draw):
-    """`bounded_lps` with entries a / q, q in {1, 2, 3, 4}, in A, so that
-    each row is scaled by the lcm of its denominators before the tableau
-    starts; half of them get b = A x0 anew for a point x0 in the box."""
-    lp = draw(bounded_lps())
-    A = [{j: Fraction(a, draw(st.sampled_from([1, 2, 3, 4])))
-          for j, a in row.items()} for row in lp.A]
-    b = lp.b
-    if draw(st.booleans()):
-        x0 = [lo + draw(st.integers(0, 2 if up is None else int(up - lo)))
-              for lo, up in zip(lp.lower, lp.upper)]
-        b = [sum(a * x0[j] for j, a in row.items()) for row in A]
-    return LinearProgram(objective=lp.objective, A=A, b=b, lower=lp.lower,
-                         upper=lp.upper)
+def same_outcome(a, ref):
+    return ref.status == "Optimal" and \
+        (a.x, a.basis, a.objective) == (ref.x, ref.basis, ref.objective)
 
 
 class _CountingStatus(dict):
@@ -424,9 +266,8 @@ class _CountingStatus(dict):
 
 
 def reference_path(lp, monkeypatch):
-    """`reference_solve(lp)` and the pivot counts it took, in the form of
-    `pivot_counts`: phase 1 pivots are those made before the second
-    minimize starts."""
+    """`reference_solve(lp)` and the pivots it took: (phase 1 pivots, those
+    made before the second minimize starts; phase 2 pivots; bound flips)."""
     tabs, phase1 = [], []
     init = dense_reference._Tableau.__init__
     minimize = dense_reference._Tableau.minimize
@@ -448,15 +289,93 @@ def reference_path(lp, monkeypatch):
     return sol, (first, status.pivots - first, status.bound_flips)
 
 
-class TestRationalRows:
+def assert_same_path(lp, monkeypatch):
+    """The reference's phase 1 ends after m pivots, on the crash basis, and
+    from there both solvers take the same pivots to the same vertex."""
+    sol = simplex_solve(lp)
+    ref, (phase1, phase2, flips) = reference_path(lp, monkeypatch)
+    assert phase1 == lp.num_constraints
+    assert same_outcome(sol, ref)
+    assert pivot_counts(sol) == (phase2, flips)
+    return sol
+
+
+class TestPivotPath:
+    def test_fixture_pivot_counts_pinned(self):
+        got = {name: pivot_counts(simplex_solve(lp))
+               for name, lp in fixture_lps()}
+        assert got == FIXTURE_PIVOTS
+
+    def test_bound_flip_counted(self, monkeypatch):
+        # the two-phase reference takes 3 + 4 pivots and one bound flip
+        B = [[-2, -1, -1], [2, 1, 2], [-1, -1, -1]]
+        lp = ohcp_lp(B, [1, 1, -1], [1] * 6 + [0] * 6, box=True)
+        assert pivot_counts(assert_same_path(lp, monkeypatch)) == (4, 1)
+
+    def test_fixture_lps_match_dense_reference(self, monkeypatch):
+        for name, lp in fixture_lps():
+            assert_same_path(lp, monkeypatch)
+
+
+# costs come from a small pool so that reduced-cost ties are common
+_COSTS = st.sampled_from([Fraction(0), Fraction(1), Fraction(2),
+                          Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)])
+
+
+@st.composite
+def ohcp_lps(draw):
+    """Small OHCP LPs: B with entries in [-2, 2], so often not TU,
+    nonnegative rational costs, and either the box with |c_i| <= 1 or no box
+    with |c_i| <= 2; boxed rows with c_i = 0 start degenerate."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 4))
+    B = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(m)]
+    box = draw(st.booleans())
+    top = 1 if box else 2
+    c = [draw(st.integers(-top, top)) for _ in range(m)]
+    cost = [draw(_COSTS) for _ in range(2 * m + 2 * n)]
+    return ohcp_lp(B, c, cost, box)
+
+
+class TestAgainstDenseReference:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(lp=rational_lps())
-    def test_same_path_and_outcome_as_dense_reference(self, lp, monkeypatch):
+    @given(lp=ohcp_lps())
+    def test_same_status_point_basis_objective(self, lp, monkeypatch):
+        # the reference comes back Optimal after m phase-1 pivots, and from
+        # the crash basis both take the same pivots to the same vertex
+        assert_same_path(lp, monkeypatch)
+
+
+class TestDualCertificate:
+    def test_early_stop_fails_the_certificate(self, monkeypatch):
+        # the crash basis x = c = 1 is feasible but not optimal (y = -1
+        # gives x = 0); a pricing that finds no entering column stops there
+        lp = ohcp_lp([[1]], [1], [1, 1, 0, 0])
+        assert simplex_solve(lp).objective == 0
+        monkeypatch.setattr(lp_module, "_bland", lambda *args: None)
+        with pytest.raises(AssertionError, match="dual certificate"):
+            simplex_solve(lp)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ohcp_lps())
+    def test_duals_bound_every_feasible_point(self, lp):
+        # weak duality, recomputed here: with r = f - A'y, every feasible x'
+        # has f x' = y c + r x' >= y c + sum_j min(0, r_j upper_j), a finite
+        # bound only when r_j < 0 has an upper bound to meet
         sol = simplex_solve(lp)
-        ref, counts = reference_path(lp, monkeypatch)
-        assert same_outcome(sol, ref)
-        assert pivot_counts(sol) == counts
+        y = sol.duals
+        assert len(y) == lp.num_constraints
+        r = list(lp.objective)
+        for row, yi in zip(lp.A, y):
+            for j, a in row.items():
+                r[j] -= a * yi
+        bound = sum(yi * ci for yi, ci in zip(y, lp.b))
+        for rj, up in zip(r, upper_bounds(lp)):
+            if rj < 0:
+                assert up is not None
+                bound += rj * up
+        assert bound == sol.objective
 
 
 def spy_on_tableau(monkeypatch):
@@ -513,15 +432,14 @@ class TestIntegerTableau:
         seen = spy_on_tableau(monkeypatch)
         fractional = 0
         for lp in random_non_tu_lps(random.Random(20261018), 8):
-            sol = simplex_solve(lp)
-            ref, counts = reference_path(lp, monkeypatch)
-            assert same_outcome(sol, ref)
-            assert pivot_counts(sol) == counts
+            sol = assert_same_path(lp, monkeypatch)
             fractional += any(v.denominator != 1 for v in sol.x)
         assert fractional
-        # D reaches 2, and some pivots rescale the rows outside column j
+        # D reaches 2; some pivots rescale the rows outside column j, and
+        # some have |p| = D >= 2, which changes row r's support only
         assert max(det for _, det in seen) >= 2
         assert any(p != det for p, det in seen)
+        assert any(p == det >= 2 for p, det in seen)
 
 
 def fixture_is_tu(name):
@@ -556,8 +474,8 @@ class TestBasisDeterminant:
         assert fractional
 
     def test_small_cases(self):
-        # no pivot leaves the initial D = 1; 3 x = 1 ends on the basis (3)
-        for lp, det in ((LinearProgram(objective=[0], A=[{0: 1}], b=[-1]), 1),
-                        (LinearProgram(objective=[-1], A=[{}], b=[0]), 1),
-                        (LinearProgram(objective=[1], A=[{0: 3}], b=[1]), 3)):
+        # no pivot leaves the crash basis's D = 1; x - 2 y = 1 ends on the
+        # basis (2) of y^- = 1/2
+        for lp, det in ((ohcp_lp([[]], [5], [1, 1]), 1),
+                        (ohcp_lp([[2]], [1], [1, 1, 0, 0]), 2)):
             assert simplex_solve(lp).stats["basis_det"] == det

@@ -3,14 +3,18 @@
 On every input both searches must return the same witness (or None) and
 visit the same nodes: the smallest budget that does not raise
 BudgetExceeded is the same for both, and a smaller one raises in both.
+The orientable cycle complexes the reference finds with want_orientable
+carve out cylinder cycle matrices.
 """
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mobius_search_reference as ref
+from cycle_matrices import classify_cycle_matrix
+from helpers import IntMatrix
 from ohcp import fixtures
-from ohcp.complexes import build_closure
+from ohcp.complexes import boundary_matrix, build_closure
 from ohcp.tu import BudgetExceeded, find_mobius_subcomplex
 
 
@@ -30,34 +34,47 @@ def klein_grid(a, b):
     return build_closure(tris)
 
 
-def run(search, K, q, budget, want_orientable=False):
+def run(search, K, q, budget):
     try:
-        return search(K, q, budget=budget, want_orientable=want_orientable)
+        return search(K, q, budget=budget)
     except BudgetExceeded:
         return BudgetExceeded
 
 
-def smallest_budget(K, q, want_orientable=False, hi=1 << 20):
+def smallest_budget(K, q, hi=1 << 20):
     lo = 0      # the smallest budget that does not raise, by bisection
     while lo < hi:
         mid = (lo + hi) // 2
-        if run(find_mobius_subcomplex, K, q, mid, want_orientable) \
-                is BudgetExceeded:
+        if run(find_mobius_subcomplex, K, q, mid) is BudgetExceeded:
             lo = mid + 1
         else:
             hi = mid
     return lo
 
 
-def assert_same_search(K, q, want_orientable=False):
-    n = smallest_budget(K, q, want_orientable)
-    got = find_mobius_subcomplex(K, q, budget=n,
-                                 want_orientable=want_orientable)
-    assert got == ref.find_mobius_subcomplex(K, q, budget=n,
-                                             want_orientable=want_orientable)
+def assert_same_search(K, q):
+    n = smallest_budget(K, q)
+    got = find_mobius_subcomplex(K, q, budget=n)
+    assert got == ref.find_mobius_subcomplex(K, q, budget=n)
     if n:
-        assert run(ref.find_mobius_subcomplex, K, q, n - 1,
-                   want_orientable) is BudgetExceeded
+        assert run(ref.find_mobius_subcomplex, K, q, n - 1) is BudgetExceeded
+
+
+def kind(K, w):
+    """CCM or MCM: the cycle matrix that witness w carves out of K."""
+    B = IntMatrix(boundary_matrix(K, w.q))
+    form = classify_cycle_matrix(
+        B.submatrix(sorted(w.shared_faces), sorted(w.simplices)))
+    return form.kind
+
+
+def assert_cycle_kinds(K, q):
+    """The search's witness is a Moebius cycle matrix, and the reference's
+    orientable one a cylinder cycle matrix."""
+    w = find_mobius_subcomplex(K, q)
+    assert w is None or kind(K, w) == "MCM"
+    w = ref.find_mobius_subcomplex(K, q, want_orientable=True)
+    assert w is None or kind(K, w) == "CCM"
 
 
 FIXTURES = {
@@ -77,14 +94,14 @@ class TestAgainstRecursiveReference:
     def test_fixtures(self, name):
         K = FIXTURES[name]()
         for q in range(1, K.dim + 1):
-            for want_orientable in (False, True):
-                assert_same_search(K, q, want_orientable)
+            assert_same_search(K, q)
+            assert_cycle_kinds(K, q)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_klein_grids(self, k):
         K = klein_grid(k, k)
         assert_same_search(K, 2)
-        assert_same_search(K, 2, want_orientable=True)
+        assert_cycle_kinds(K, 2)
 
     def test_budget_exhaustion_on_a_large_klein_grid(self):
         K = klein_grid(7, 7)
@@ -96,8 +113,9 @@ class TestAgainstRecursiveReference:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(4, 7).flatmap(lambda nv: st.lists(
         st.lists(st.integers(0, nv - 1), min_size=3, max_size=3, unique=True),
-        min_size=1, max_size=12)), st.booleans())
-    def test_random_2_complexes(self, tris, want_orientable):
+        min_size=1, max_size=12)))
+    def test_random_2_complexes(self, tris):
         K = build_closure(tris)
-        assert_same_search(K, 2, want_orientable)
-        assert_same_search(K, 1, want_orientable)
+        for q in (2, 1):
+            assert_same_search(K, q)
+            assert_cycle_kinds(K, q)
