@@ -264,8 +264,8 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
     feasible x', scale * f x' = pi c + r x' >= pi c + r x = scale * f x, so x
     is optimal. `duals` is pi / scale.
     """
-    m, n = lp.num_constraints, lp.num_vars
-    upper = [1 if lp.box else None] * (2 * m) + [None] * (n - 2 * m)
+    m, N = lp.num_constraints, lp.num_vars
+    upper = [1 if lp.box else None] * (2 * m) + [None] * (N - 2 * m)
     # the crash basis: x_i^+ where c_i >= 0, else x_i^- with row i negated
     rows, basis = [], []
     for i, (row, ci) in enumerate(zip(lp.A, lp.b)):
@@ -275,7 +275,7 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
         else:
             rows.append({k: -a for k, a in row.items()})
             basis.append(m + i)
-    status = [_AT_LOWER] * n
+    status = [_AT_LOWER] * N
     for j in basis:
         status[j] = None
     tab = _Tableau(upper, basis, rows, [abs(ci) for ci in lp.b], status)

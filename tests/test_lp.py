@@ -100,15 +100,12 @@ def random_lp(rng):
 
 class TestBasics:
     def test_pinned_variable(self):
-        sol = simplex_solve(ohcp_lp([[]], [5], [1, 1]))
-        assert sol.x == [5, 0] and sol.objective == 5
-        assert sol.stats["pivots"] == 0
-
-    def test_crash_basis_negates_rows(self):
-        # c < 0 starts on x^-, with no pivot
-        sol = simplex_solve(ohcp_lp([[]], [-2], [1, 3]))
-        assert sol.x == [0, 2] and sol.objective == 6
-        assert sol.basis == [1] and sol.stats["pivots"] == 0
+        # the crash basis is the optimum: x^+ for c >= 0, x^- for c < 0
+        for c, x, cost in ((5, [5, 0], 5), (-2, [0, 2], 6)):
+            sol = simplex_solve(ohcp_lp([[]], [c], [1, 3]))
+            assert sol.x == x and sol.objective == cost
+            assert sol.basis == [x.index(abs(c))]
+            assert sol.stats["pivots"] == 0
 
     def test_box_vertex(self):
         # x = c + y (1, 1, 1): unboxed, y = -1 gives x = (0, 0, -2), cost 2;
