@@ -193,24 +193,58 @@ def find_mobius_subcomplex(K: SimplicialComplex, q: int,
     each cycle is visited once; `budget` caps the number of extended path
     nodes and overrunning it raises BudgetExceeded.
 
+    The search runs in the signed dual graph: q-simplices a and b sharing
+    the face f are joined with the sign -B[a][f] B[b][f], and a cycle
+    complex is non-orientable exactly when the product of its signs is -1.
+    It returns None before visiting any node in two cases. For q = 1 a
+    cycle complex is a graph cycle, which is always orientable. And when
+    the signed graph is balanced (Harary 1953), no cycle has product -1.
+    Three cofaces of one face close a triangle of product -1, so the graph
+    is balanced exactly when no face has three cofaces and one
+    parity_coloring over the coface rows succeeds: when the complex is an
+    orientable pseudomanifold.
+
+    Otherwise the DFS carries the sign product of its path and prunes it.
+    It tests a path of three members when it first reaches it, and a path
+    of three or more each time it backtracks to it. The test searches the
+    (simplex, entry face, sign) states of the walks the DFS could still
+    append: from an untried neighbour of the tail, through simplices of
+    index above the head, off the path and sharing no face with an inner
+    member, never leaving a simplex through the face it entered by, and
+    touching the head only at the last step. Unless such a walk closes on
+    the head with product -1 at a simplex of index above path[1], the path
+    is popped. Every completion of the path to a witness is such a walk, so
+    a pruned subtree holds no witness, and otherwise the visit order is
+    unchanged. The witness (or None) is therefore the one the unpruned DFS
+    finds, and the smallest budget that does not raise is no larger.
+    Testing every longer path on arrival would cost one walk search per
+    node on the way to a witness; a dive into a dead subtree is cut back by
+    the tests on the way up instead.
+
     The DFS keeps its own stack, so path length is not bounded by the
     recursion limit, and it counts for each (q-1)-face the inner path
     members (all but the first and the last) having it, so testing a
     candidate touches only its q+1 faces.
     """
     B = K.boundary_columns(q)     # InputError unless 1 <= q <= K.dim
+    if q == 1:
+        return None
     n = len(B)
-    # adjacency: simplices sharing a (q-1)-face, paired through its cofaces
-    shared = {}
+    # adj[a]: (b, sign, face) for each simplex b sharing a (q-1)-face with
+    # a, paired through the cofaces of the face
     adj = [[] for _ in range(n)]
     cofaces = [[] for _ in range(K.count(q - 1))]
     for b, col in enumerate(B):
-        for f in col:
+        for f, e in col.items():
             for a in cofaces[f]:
-                shared[a, b] = f
-                adj[a].append(b)
-                adj[b].append(a)
+                adj[a].append((b, -B[a][f] * e, f))
+                adj[b].append((a, -B[a][f] * e, f))
             cofaces[f].append(b)
+    # three cofaces of one face close a triangle of product -1
+    if all(len(c) <= 2 for c in cofaces) and parity_coloring(
+            [{a: B[a][f] for a in c} for f, c in enumerate(cofaces)],
+            n) is not None:
+        return None
     for nbrs in adj:
         nbrs.sort()
 
@@ -218,63 +252,91 @@ def find_mobius_subcomplex(K: SimplicialComplex, q: int,
     inner = [0] * len(cofaces)  # path members, bar first and last, per face
     nodes = 0
 
-    def face_of(a, b):
-        return shared[(a, b) if a < b else (b, a)]
+    def probe(v):
+        """None if v shares a face with an inner path member, else the face
+        v shares with the head, or -1 if there is none."""
+        h = -1
+        for f in B[v]:
+            if inner[f]:
+                return None
+            if f in at_head:
+                h = f
+        return h
+
+    def hopeless():
+        """No walk from an untried neighbour of the tail closes a witness."""
+        head, second = path[0], path[1]
+        stack = [(v, f, signs[-1] * s)
+                 for v, s, f in adj[path[-1]][todo[-1]:]]
+        seen = set()
+        while stack:
+            state = v, f, s = stack.pop()
+            if v <= head or on_path[v] or state in seen:
+                continue
+            seen.add(state)
+            h = probe(v)
+            if h is None:
+                continue
+            if h < 0:
+                stack += [(w, g, s * t) for w, t, g in adj[v] if g != f]
+            elif v > second and s * B[v][h] * at_head[h] == 1:
+                return False
+        return True
 
     for head in range(n):
         at_head = B[head]
         on_path[head] = True
         path = [head]
+        faces = [-1]    # faces[d]: the face path[d - 1] and path[d] share
+        signs = [1]     # signs[d]: sign product of path[:d + 1]
         todo = [0]      # todo[d]: position in adj[path[d]] of the next try
         while todo:
             tail = path[-1]
             k = todo[-1]
             if k == len(adj[tail]):
                 todo.pop()
+                faces.pop()
+                signs.pop()
                 on_path[path.pop()] = False
                 if len(path) > 1:       # the new tail is no longer inner
                     for f in B[path[-1]]:
                         inner[f] -= 1
+                if len(path) >= 3 and hopeless():
+                    todo[-1] = len(adj[path[-1]])
                 continue
             todo[-1] = k + 1
-            nxt = adj[tail][k]
+            nxt, s, f = adj[tail][k]
             if nxt <= head:
                 continue  # canonical start: smallest index first
             if on_path[nxt]:
                 continue
             # no shared (q-1)-face with any non-consecutive path member
-            blocked = closes = False
-            for f in B[nxt]:
-                if inner[f]:
-                    blocked = True
-                    break
-                if f in at_head:
-                    closes = True
-            if blocked:
+            h = probe(nxt)
+            if h is None:
                 continue
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"cycle search exceeded budget {budget}")
-            # canonical direction: second element smaller than last
-            if closes and len(path) > 1 and path[1] < nxt:
-                cycle = path + [nxt]
-                faces = [face_of(cycle[i - 1], cycle[i])
-                         for i in range(len(cycle))]
-                if len(set(faces)) == len(faces):
-                    # face i is shared by cycle members i-1 and i
-                    k = len(cycle)
-                    rows = [{(i - 1) % k: B[cycle[i - 1]][f],
-                             i: B[cycle[i]][f]} for i, f in enumerate(faces)]
-                    if parity_coloring(rows, k) is None:
-                        return CycleComplexWitness(q=q, simplices=cycle,
-                                                   shared_faces=faces)
-            if not closes or len(path) == 1:
+            sign = signs[-1] * s
+            # canonical direction: second element smaller than last; the
+            # closing pair's sign is -B[nxt][h] B[head][h]
+            if h >= 0 and len(path) > 1 and path[1] < nxt:
+                cycle_faces = [h] + faces[1:] + [f]
+                if (sign * B[nxt][h] * at_head[h] == 1
+                        and len(set(cycle_faces)) == len(cycle_faces)):
+                    return CycleComplexWitness(q=q, simplices=path + [nxt],
+                                               shared_faces=cycle_faces)
+            if h < 0 or len(path) == 1:
                 if len(path) > 1:       # the old tail becomes inner
-                    for f in B[tail]:
-                        inner[f] += 1
+                    for g in B[tail]:
+                        inner[g] += 1
                 on_path[nxt] = True
                 path.append(nxt)
+                faces.append(f)
+                signs.append(sign)
                 todo.append(0)
+                if len(path) == 3 and hopeless():
+                    todo[-1] = len(adj[nxt])
     return None
 
 
@@ -308,8 +370,8 @@ def tu_verdict(K: SimplicialComplex, p: int, col_cap: int = 16,
 
     (a) orientable-pseudomanifold shortcut, (b) Moebius-complex search for
     p <= 1 (a full characterization there), (c) capped minor enumeration.
-    For p = 0 the search is skipped: every cycle of edges is orientable, so
-    it could only come back empty (a graph's incidence matrix is TU).
+    For p = 0 the search returns at once: every cycle of edges is
+    orientable (a graph's incidence matrix is TU).
     """
     q = p + 1
     if q > K.dim:
@@ -319,8 +381,6 @@ def tu_verdict(K: SimplicialComplex, p: int, col_cap: int = 16,
             return TUVerdict("TU", "orientable-manifold-shortcut")
     except NotPseudomanifold:
         pass
-    if p == 0:
-        return TUVerdict("TU", "mobius-search")
-    if p == 1:
+    if p <= 1:
         return mobius_verdict(K, q, budget)
     return is_tu_minor_enumeration(K.boundary_columns(q), col_cap=col_cap)

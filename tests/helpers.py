@@ -1,8 +1,8 @@
 """Test-only helpers: a dense integer matrix to build cases with, its
-products, determinant and Smith normal form, the boundary of a chain, a
-complex written as .scx text for the command-line tests, and two reference
-boundary matrices."""
-from ohcp.complexes import SimplicialComplex
+products, determinant and Smith normal form, the boundary of a chain, grid
+Klein bottles, a complex written as .scx text for the command-line tests,
+and two reference boundary matrices."""
+from ohcp.complexes import SimplicialComplex, build_closure
 from ohcp.matrices import det_int, smith_normal_form
 
 
@@ -83,6 +83,27 @@ def chain_boundary(K: SimplicialComplex, q, x):
         for i, sign in col.items():
             out[i] += coeff * sign
     return out
+
+
+def klein_grid(a, b, flip=frozenset(), label=None):
+    """a x b grid Klein bottle: the seam j = b is glued to j = 0 with the
+    reflection i -> -i. Square (i, j) is cut along its other diagonal when
+    it is in `flip`, and vertex v is named label[v] when `label` is given."""
+    def vid(i, j):
+        if j >= b:
+            i, j = -i, j - b
+        v = (i % a) + a * j
+        return v if label is None else label[v]
+    tris = []
+    for i in range(a):
+        for j in range(b):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            if (i, j) in flip:
+                tris += [[v00, v10, v01], [v10, v11, v01]]
+            else:
+                tris += [[v00, v10, v11], [v00, v11, v01]]
+    return build_closure(tris)
 
 
 def write_complex(K: SimplicialComplex) -> str:

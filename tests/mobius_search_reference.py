@@ -3,7 +3,8 @@
 `find_mobius_subcomplex` is kept verbatim, bar the witness's `orientable`
 field, which `ohcp.tu` dropped, as the reference the iterative search in
 `ohcp.tu` is tested against (tests/test_mobius_reference.py): same witness
-or None, and the same smallest budget that does not raise BudgetExceeded.
+or None, at a smallest budget that does not raise BudgetExceeded no larger
+than this copy's.
 Only this copy keeps `want_orientable`, with which the tests find orientable
 cycle complexes. Do not optimise or "fix" this file.
 """

@@ -1,37 +1,24 @@
-"""The iterative Moebius-complex search against the frozen recursive one.
+"""The pruned Moebius-complex search against the frozen recursive one.
 
-On every input both searches must return the same witness (or None) and
-visit the same nodes: the smallest budget that does not raise
-BudgetExceeded is the same for both, and a smaller one raises in both.
-The orientable cycle complexes the reference finds with want_orientable
-carve out cylinder cycle matrices.
+The search skips only subtrees that hold no witness and otherwise visits in
+the reference's order. So on every input, at the reference's smallest
+budget that does not raise BudgetExceeded, it returns the reference's
+witness (or None): its own smallest budget is no larger. The orientable
+cycle complexes the reference finds with want_orientable carve out
+cylinder cycle matrices.
 """
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mobius_search_reference as ref
 from cycle_matrices import classify_cycle_matrix
-from helpers import IntMatrix
+from helpers import IntMatrix, klein_grid
 from ohcp import fixtures
 from ohcp.complexes import boundary_matrix, build_closure
-from ohcp.tu import BudgetExceeded, find_mobius_subcomplex
-
-
-def klein_grid(a, b):
-    """a x b grid Klein bottle: the seam j = b is glued to j = 0 with the
-    reflection i -> -i."""
-    def vid(i, j):
-        if j >= b:
-            i, j = -i, j - b
-        return (i % a) + a * j
-    tris = []
-    for i in range(a):
-        for j in range(b):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris += [[v00, v10, v11], [v00, v11, v01]]
-    return build_closure(tris)
+from ohcp.tu import BudgetExceeded, CycleComplexWitness, find_mobius_subcomplex
 
 
 def run(search, K, q, budget):
@@ -41,23 +28,23 @@ def run(search, K, q, budget):
         return BudgetExceeded
 
 
-def smallest_budget(K, q, hi=1 << 20):
+def smallest_budget(search, K, q, hi=1 << 20):
     lo = 0      # the smallest budget that does not raise, by bisection
     while lo < hi:
         mid = (lo + hi) // 2
-        if run(find_mobius_subcomplex, K, q, mid) is BudgetExceeded:
+        if run(search, K, q, mid) is BudgetExceeded:
             lo = mid + 1
         else:
             hi = mid
     return lo
 
 
-def assert_same_search(K, q):
-    n = smallest_budget(K, q)
-    got = find_mobius_subcomplex(K, q, budget=n)
-    assert got == ref.find_mobius_subcomplex(K, q, budget=n)
-    if n:
-        assert run(ref.find_mobius_subcomplex, K, q, n - 1) is BudgetExceeded
+def assert_same_witness(K, q):
+    """At the reference's smallest budget the search does not raise, and it
+    returns the reference's witness."""
+    n = smallest_budget(ref.find_mobius_subcomplex, K, q)
+    assert run(find_mobius_subcomplex, K, q, n) == \
+        ref.find_mobius_subcomplex(K, q, budget=n)
 
 
 def kind(K, w):
@@ -88,27 +75,76 @@ FIXTURES = {
     "solid_octahedron": fixtures.solid_octahedron,
 }
 
+# The reference's witness on the 7 x 7 Klein grid, first found at a budget
+# between 4000 and 10**6 (the reference takes about 20 s to reach it).
+KLEIN_7X7_WITNESS = CycleComplexWitness(
+    q=2,
+    simplices=[0, 1, 5, 3, 2, 26, 22, 23, 25, 19, 18, 20, 14, 15, 17, 11, 13,
+               94, 91, 78, 75, 62, 59, 46, 42, 30, 28, 32, 31, 8],
+    shared_faces=[7, 0, 5, 4, 1, 31, 32, 26, 29, 30, 21, 23, 22, 16, 19, 20,
+                  14, 145, 133, 129, 109, 105, 85, 81, 61, 56, 38, 40, 41,
+                  39])
+
 
 class TestAgainstRecursiveReference:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_fixtures(self, name):
         K = FIXTURES[name]()
         for q in range(1, K.dim + 1):
-            assert_same_search(K, q)
+            assert_same_witness(K, q)
             assert_cycle_kinds(K, q)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_klein_grids(self, k):
         K = klein_grid(k, k)
-        assert_same_search(K, 2)
+        assert_same_witness(K, 2)
         assert_cycle_kinds(K, 2)
 
     def test_budget_exhaustion_on_a_large_klein_grid(self):
         K = klein_grid(7, 7)
-        for budget in (1, 500, 4000):
-            assert run(find_mobius_subcomplex, K, 2, budget) is \
-                run(ref.find_mobius_subcomplex, K, 2, budget) is \
-                BudgetExceeded
+        assert run(find_mobius_subcomplex, K, 2, 1) is \
+            run(ref.find_mobius_subcomplex, K, 2, 1) is BudgetExceeded
+        # the pruning decides where the reference still exhausts its budget
+        assert run(ref.find_mobius_subcomplex, K, 2, 4000) is BudgetExceeded
+        assert find_mobius_subcomplex(K, 2, budget=4000) == KLEIN_7X7_WITNESS
+
+    def test_pruning_counts_each_cycle_in_one_direction(self):
+        # a walk that closes at a simplex below path[1] is a cycle the DFS
+        # meets in the other direction, so it does not keep the path alive;
+        # counting it as well, the search would need 38 nodes here
+        K = build_closure([[5, 3, 2], [5, 1, 4], [3, 5, 1], [1, 0, 3],
+                           [4, 1, 2], [2, 0, 3], [3, 4, 1], [2, 5, 0],
+                           [5, 1, 3], [3, 2, 4]])
+        assert smallest_budget(ref.find_mobius_subcomplex, K, 2) == 67
+        assert run(find_mobius_subcomplex, K, 2, 35) == \
+            ref.find_mobius_subcomplex(K, 2, budget=67)
+
+    def test_pruning_walks_never_turn_back_through_a_face(self):
+        # a fin on the torus makes the signed graph unbalanced, but only
+        # through walks that leave the fin by the edge they entered it by;
+        # allowing those, the search would need 102 nodes here
+        K = build_closure([list(t) for t in fixtures.torus().simplices(2)]
+                          + [[0, 6, 7]])
+        assert smallest_budget(ref.find_mobius_subcomplex, K, 2) == 439
+        assert run(find_mobius_subcomplex, K, 2, 58) is None
+
+    @pytest.mark.parametrize("make", [fixtures.torus, fixtures.cylinder])
+    def test_balanced_input_visits_no_node(self, make):
+        # an orientable surface's signed dual graph is balanced
+        assert find_mobius_subcomplex(make(), 2, budget=0) is None
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.tuples(st.integers(3, 5), st.integers(3, 5)).flatmap(
+        lambda ab: st.tuples(
+            st.just(ab),
+            st.sets(st.tuples(st.integers(0, ab[0] - 1),
+                              st.integers(0, ab[1] - 1))),
+            st.permutations(range(ab[0] * ab[1])))))
+    def test_random_klein_grids(self, case):
+        (a, b), flip, label = case
+        K = klein_grid(a, b, flip, label)
+        assert find_mobius_subcomplex(K, 2, budget=math.inf) == \
+            ref.find_mobius_subcomplex(K, 2, budget=math.inf)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(4, 7).flatmap(lambda nv: st.lists(
@@ -117,5 +153,5 @@ class TestAgainstRecursiveReference:
     def test_random_2_complexes(self, tris):
         K = build_closure(tris)
         for q in (2, 1):
-            assert_same_search(K, q)
+            assert_same_witness(K, q)
             assert_cycle_kinds(K, q)

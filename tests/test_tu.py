@@ -219,12 +219,11 @@ class TestVerdictCascade:
             assert by_cascade == by_minors
 
     def test_graph_needs_no_cycle_search(self):
-        # K9's cycles overrun the budget, but none of them can be a Moebius
-        # complex: every cycle of edges is orientable
+        # K9's cycles would overrun the budget, but none of them can be a
+        # Moebius complex: every cycle of edges is orientable
         K = build_closure(itertools.combinations(range(9), 2))
-        with pytest.raises(Undecided):
-            find_mobius_subcomplex(K, 1, budget=20000)
-        v = tu_verdict(K, 0, budget=20000)
+        assert find_mobius_subcomplex(K, 1, budget=0) is None
+        v = tu_verdict(K, 0, budget=0)
         assert (v.status, v.method) == ("TU", "mobius-search")
 
     @settings(max_examples=100, deadline=None)
