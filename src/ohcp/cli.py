@@ -216,6 +216,10 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("col_cap", "budget"):
+            if getattr(args, flag, 0) < 0:
+                raise InputError(f"--{flag.replace('_', '-')} must be "
+                                 f"non-negative, got {getattr(args, flag)}")
         return args.fn(args)
     except (InputError, NotPseudomanifold) as exc:
         print(f"error: {exc}", file=sys.stderr)

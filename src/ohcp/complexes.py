@@ -9,6 +9,8 @@ Conventions that keep everything reproducible:
 """
 from __future__ import annotations
 
+import itertools
+
 from .matrices import permutation_sign
 
 
@@ -86,28 +88,18 @@ class SimplicialComplex:
 def build_closure(maximal) -> SimplicialComplex:
     """Close a set of simplices under taking faces.
 
-    `maximal` is an iterable of vertex sequences. The empty input yields
-    the empty complex of dimension -1.
+    `maximal` is an iterable of vertex sequences; each adds every one of
+    its faces, level by level. The empty input yields the empty complex of
+    dimension -1.
     """
-    levels: dict[int, set] = {}
-    stack = []
+    levels = []
     for verts in maximal:
-        stack.append(canonical(verts)[0])
-    seen = set()
-    while stack:
-        verts = stack.pop()
-        if verts in seen:
-            continue
-        seen.add(verts)
-        q = len(verts) - 1
-        levels.setdefault(q, set()).add(verts)
-        if q > 0:
-            for i in range(len(verts)):
-                stack.append(verts[:i] + verts[i + 1:])
-    if not levels:
-        return SimplicialComplex([])
-    top = max(levels)
-    return SimplicialComplex([sorted(levels.get(q, set())) for q in range(top + 1)])
+        verts = canonical(verts)[0]
+        while len(levels) < len(verts):
+            levels.append(set())
+        for q in range(len(verts)):
+            levels[q].update(itertools.combinations(verts, q + 1))
+    return SimplicialComplex([sorted(level) for level in levels])
 
 
 def boundary_matrix(K: SimplicialComplex, q: int):

@@ -4,12 +4,15 @@ Python ints are unbounded, so every determinant, rank and Smith normal form
 here is exact. A matrix is passed between layers in one form: its sparse
 rows, a list with one dict {column: nonzero int} per row, together with
 the column count n (columns 0..n-1). The elimination kernel works on these
-rows and first eliminates every +-1 pivot it can, least Markowitz cost
-first; only the core left without unit entries goes to dense code (Bareiss
-for the determinant, a Smith normal form loop for rank and SNF). Boundary
-matrices are almost all unit pivots, so that core is small or empty (Dumas,
+rows and first eliminates every +-1 pivot it can, shortest row first; only
+the core left without unit entries goes to dense code (Bareiss for the
+determinant, a Smith normal form loop for rank and SNF). Boundary matrices
+are almost all unit pivots, so that core is small or empty (Dumas,
 Saunders & Villard, "On efficient sparse integer matrix Smith normal form
-computations", JSC 2001).
+computations", JSC 2001). The pivot order cannot change a result: each
+unit pivot adds a 1 to the Smith diagonal, whose list of invariant factors
+is unique, and the determinant's sign is read off the pivots in the order
+they came.
 """
 from __future__ import annotations
 
@@ -19,13 +22,19 @@ import math
 
 def _eliminate_units(rows, n):
     """Eliminate the +-1 pivots of the sparse rows `rows` ({column: entry},
-    columns 0..n-1; rows are modified in place) exactly, least Markowitz
-    cost first.
+    columns 0..n-1; rows are modified in place) exactly, shortest row first.
 
     A pivot v = +-1 at (r, c) subtracts (a_ic * v) * row r from every other
     row i with a_ic != 0; row r and column c then leave the matrix, and the
-    rest is the Schur complement. Markowitz cost is (row nonzeros - 1) *
-    (column nonzeros - 1), ties broken by the smaller (row, column).
+    rest is the Schur complement. The pivot row is the shortest live row
+    that holds a +-1 entry (ties to the smaller row), and in it the pivot
+    is the +-1 entry whose column has the fewest rows (ties to the smaller
+    column): the row-first Markowitz search of sparse LU codes (Duff,
+    Erisman & Reid, Direct Methods for Sparse Matrices, ch. 7). The pivot
+    order sets only fill-in and time. The Smith diagonal [1] * pivots +
+    SNF(core) is the matrix's unique list of invariant factors whatever
+    the order, and det_int takes the pivots' permutation signs in the
+    order they come.
 
     Returns (pivots, rows): the (row, column, v) pivots in elimination
     order, and rows[i] the sparse Schur complement row {col: entry} of each
@@ -35,28 +44,24 @@ def _eliminate_units(rows, n):
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-
-    def push(i, j):
-        heapq.heappush(heap, ((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j))
-
-    # A lazy heap: every live unit entry has an item with its current cost
-    # (items are pushed again whenever a row or column count changes), and
-    # an item whose entry is gone or whose cost is stale is skipped.
-    heap = []
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            if x == 1 or x == -1:
-                push(i, j)
+    # A lazy heap of (row length, row) items: a row is pushed at the start
+    # and again whenever an elimination changes it, and an item of a pivot
+    # row or with a stale length is skipped. So every row is looked at
+    # after its last change, and one without a +-1 entry is dropped until
+    # a change pushes it again.
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
     pivots = []
     while heap:
-        cost, r, c = heapq.heappop(heap)
+        length, r = heapq.heappop(heap)
         row = rows[r]
-        if row is None:
+        if row is None or length != len(row):
             continue
-        v = row.get(c)
-        if (v != 1 and v != -1) or \
-                cost != (len(row) - 1) * (len(cols[c]) - 1):
+        units = [j for j, x in row.items() if x == 1 or x == -1]
+        if not units:
             continue
+        c = min(units, key=lambda j: (len(cols[j]), j))
+        v = row[c]
         pivots.append((r, c, v))
         rows[r] = None
         below, cols[c] = cols[c], set()
@@ -77,14 +82,7 @@ def _eliminate_units(rows, n):
                 else:
                     del other[j]
                     cols[j].discard(i)
-        for i in below:
-            for j, x in rows[i].items():
-                if x == 1 or x == -1:
-                    push(i, j)
-        for j in row:
-            for i in cols[j]:
-                if i not in below and rows[i][j] in (1, -1):
-                    push(i, j)
+            heapq.heappush(heap, (len(other), i))
     return pivots, rows
 
 

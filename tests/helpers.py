@@ -1,7 +1,7 @@
 """Test-only helpers: a dense integer matrix to build cases with, its
 products, determinant and Smith normal form, the boundary of a chain, grid
-Klein bottles, a complex written as .scx text for the command-line tests,
-and two reference boundary matrices."""
+Klein bottles and tori, a complex written as .scx text for the command-line
+tests, and two reference boundary matrices."""
 from ohcp.complexes import SimplicialComplex, build_closure
 from ohcp.matrices import det_int, smith_normal_form
 
@@ -106,15 +106,26 @@ def klein_grid(a, b, flip=frozenset(), label=None):
     return build_closure(tris)
 
 
+def torus_grid(a, b):
+    """a x b grid torus: both seams glued straight, each square cut along
+    its (i, j)-(i+1, j+1) diagonal."""
+    def vid(i, j):
+        return i % a + a * (j % b)
+    return build_closure(
+        tri for i in range(a) for j in range(b)
+        for tri in ([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)],
+                    [vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)]))
+
+
 def write_complex(K: SimplicialComplex) -> str:
-    # every simplex of top dimension plus lower-dimensional maximal ones
+    """The maximal simplices of K as .scx text, top dimension first: a
+    q-simplex is maximal iff it is no face of a (q+1)-simplex."""
     lines = []
+    faces = set()           # the codimension-1 faces of the level above
     for q in range(K.dim, -1, -1):
-        for verts in K.simplices(q):
-            if q == K.dim or not any(set(verts) < set(s)
-                                     for qq in range(q + 1, K.dim + 1)
-                                     for s in K.simplices(qq)):
-                lines.append(" ".join(map(str, verts)))
+        level = K.simplices(q)
+        lines += [" ".join(map(str, v)) for v in level if v not in faces]
+        faces = {v[:i] + v[i + 1:] for v in level for i in range(len(v))}
     return "\n".join(lines) + "\n"
 
 

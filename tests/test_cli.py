@@ -168,6 +168,27 @@ class TestSolvePipeline:
         assert code == 4
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("tu", "--dim", "1", "--budget", "-1"),
+        ("tu", "--dim", "1", "--method", "minors", "--col-cap", "-1"),
+        ("tu", "--dim", "1", "--col-cap", "-1"),
+        ("torsion-scan", "--dim", "1", "--budget", "-1"),
+        ("torsion-scan", "--dim", "1", "--col-cap", "-1"),
+        ("mobius-scan", "--dim", "2", "--budget", "-1"),
+        ("mobius-scan", "--dim", "2", "--col-cap", "-1"),
+    ], ids=" ".join)
+    def test_negative_cap_exit_code(self, paths, capsys, argv):
+        code, out, err = run(capsys, argv[0], "--complex", paths["moebius"],
+                             *argv[1:])
+        assert (code, out) == (4, "")
+        assert err == f"error: {argv[-2]} must be non-negative, got -1\n"
+
+    def test_zero_budget_is_a_cap(self, paths, capsys):
+        code, _, err = run(capsys, "mobius-scan", "--complex",
+                           paths["moebius"], "--dim", "2", "--budget", "0")
+        assert code == 5
+        assert err == "undecided: cycle search exceeded budget 0\n"
+
     def test_missing_file_exit_code(self, paths, capsys):
         code, _, _ = run(capsys, "homology", "--complex",
                          paths["tmp"] / "nope.scx", "--dim", "0")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import IntMatrix, chain_boundary, matmul
+from helpers import IntMatrix, chain_boundary, matmul, write_complex
 from ohcp import fixtures
 from ohcp.complexes import (InputError, NotPseudomanifold, boundary_matrix,
                             build_closure, canonical, coface_map,
@@ -67,6 +67,19 @@ class TestClosure:
         rnd.shuffle(shuffled)
         K2 = build_closure(shuffled)
         assert K1.simplices_by_dim == K2.simplices_by_dim
+
+    def test_written_complex_lists_maximal_simplices_top_first(self):
+        K = build_closure([[4, 5], [2, 1, 0], [1, 2], [9], [5, 6, 7, 8]])
+        assert write_complex(K) == "5 6 7 8\n0 1 2\n4 5\n9\n"
+
+    @settings(max_examples=50)
+    @given(simplex_lists)
+    def test_written_complex_is_its_maximal_simplices(self, maximal):
+        K = build_closure(maximal)
+        written = [tuple(map(int, line.split()))
+                   for line in write_complex(K).splitlines()]
+        assert build_closure(written).simplices_by_dim == K.simplices_by_dim
+        assert not any(set(a) < set(b) for a in written for b in written)
 
 
 class TestBoundaryMatrix:

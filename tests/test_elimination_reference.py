@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import dense_elimination_reference as ref
 from helpers import IntMatrix, det, matmul, snf
 from ohcp.complexes import boundary_matrix, build_closure
+from ohcp.matrices import _eliminate_units
 
 
 def matrices(entries, max_dim=7):
@@ -77,6 +78,31 @@ class TestAgainstDenseReference:
         assert det(M) == ref.det_int(M) == -2
         M = IntMatrix([[2, 1], [1, -1]])
         assert det(M) == ref.det_int(M) == -3
+
+
+def assert_units_exhausted(M):
+    pivots, rows = _eliminate_units(M.sparse_rows(), M.n)
+    pivot_rows = [r for r, _, _ in pivots]
+    pivot_cols = {c for _, c, _ in pivots}
+    assert len(set(pivot_rows)) == len(pivot_cols) == len(pivots)
+    assert all(v in (1, -1) for _, _, v in pivots)
+    assert set(pivot_rows) == {i for i, row in enumerate(rows) if row is None}
+    for row in rows:
+        if row is not None:
+            assert not pivot_cols & set(row)
+            assert all(x not in (0, 1, -1) for x in row.values())
+
+
+class TestUnitKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_unit)
+    def test_sparse_unit_matrices(self, M):
+        assert_units_exhausted(M)
+
+    @settings(max_examples=150, deadline=None)
+    @given(boundary_submatrices())
+    def test_boundary_submatrices(self, M):
+        assert_units_exhausted(M)
 
 
 class TestDenseReference:

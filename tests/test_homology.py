@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import MOEBIUS_B2, IntMatrix, det, snf
+from helpers import MOEBIUS_B2, IntMatrix, det, klein_grid, snf, torus_grid
 from ohcp import fixtures
 from ohcp.homology import homology_summary, torsion_witness_from_submatrix
 
@@ -98,6 +98,12 @@ class TestHomologySummary:
         assert homology_summary(K, 0) == (1, [])
         assert homology_summary(K, 1) == (0, [])
         assert homology_summary(K, 2) == (1, [])
+
+    @pytest.mark.parametrize("grid, want", [(klein_grid, (1, [2])),
+                                            (torus_grid, (2, []))],
+                             ids=["klein", "torus"])
+    def test_40_by_40_grids(self, grid, want):
+        assert homology_summary(grid(40, 40), 1) == want
 
 
 class TestTorsionWitness:
