@@ -5,7 +5,10 @@ the exit code, stdout and stderr of `boundary`, `snf` on that boundary's
 .mat text, `tu` by every method, `torsion-scan` and `homology` are compared
 with tests/expected/cli_fixtures.txt, and so are those of `solve` at one
 below the top dimension in every variant, with chain entries cycling 1, -1,
-0, weights cycling 1, 2, 3 (identity for l0) and y-weights cycling 1, 2. Regenerate that file after a
+0, weights cycling 1, 2, 3 (identity for l0) and y-weights cycling 1, 2,
+and of `solve --variant l1 --coords` with seeded points in R^3 whose
+coordinates mix the denominators 7, 10^4 and 1, so that Euclidean lengths
+(p = 1) and areas (p = 2) are pinned. Regenerate that file after a
 deliberate output change with
 
     PYTHONPATH=src:tests python tests/test_cli_golden.py --write
@@ -13,6 +16,7 @@ deliberate output change with
 import contextlib
 import io
 import pathlib
+import random
 import sys
 import tempfile
 
@@ -51,6 +55,17 @@ def _cycling(K, q, values):
                    + "\n" for i, s in enumerate(K.simplices(q)))
 
 
+def _coordinates(K):
+    """.xyz text placing each vertex of K at a seeded rational point of R^3,
+    each coordinate k/7, a decimal with four places or an integer."""
+    rng = random.Random(0)
+    forms = (lambda: f"{rng.randint(-30, 30)}/7",
+             lambda: "%d.%04d" % divmod(rng.randrange(10 ** 5), 10 ** 4),
+             lambda: str(rng.randint(-5, 5)))
+    return "".join(f"{v} " + " ".join(rng.choice(forms)() for _ in range(3))
+                   + "\n" for (v,) in K.simplices(0))
+
+
 def _commands(name, K, scx, mat, write):
     """(display argv, argv) pairs; `mat(q)` writes the q-boundary .mat and
     `write(file name, text)` any other input file."""
@@ -80,6 +95,9 @@ def _commands(name, K, scx, mat, write):
         yield f"solve {name} --dim {p} --variant {variant}", \
             ["solve", "--complex", scx, "--dim", str(p), "--variant",
              variant] + chain + extra
+    yield f"solve {name} --dim {p} --variant l1 --coords", \
+        ["solve", "--complex", scx, "--dim", str(p), "--variant", "l1"] \
+        + chain + ["--coords", write(f"{name}.xyz", _coordinates(K))]
 
 
 def transcript():
