@@ -3,12 +3,14 @@
 .scx  complex: one maximal simplex per line (vertex ids), '#' comments
 .chn  chain:   "coeff v0 v1 ... vp"; sign adjusted by permutation parity
 .wts  weights: "num/den v0 ... vp"; unlisted simplices default to weight 1
-.xyz  coords:  "vid x1 ... xd" with decimal rationals
+.xyz  coords:  "vid x1 ... xd"
+A weight or coordinate is an integer, a decimal or p/q; nothing else.
 .mat  matrix:  "m n" header, then m rows of n signed integers
 """
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .complexes import InputError, SimplicialComplex, build_closure, canonical
@@ -59,9 +61,25 @@ def write_chain(K: SimplicialComplex, p: int, x) -> str:
     return "\n".join(lines) + "\n"
 
 
+# an optional sign, then digits with a /denominator or a .fraction; no
+# exponent, so a number's size is bounded by its token's, and int() checks
+# the digits and the '_' between them
+_RATIONAL = re.compile(r"([-+]?)(?=\.?\d)([\d_]*)(?:/([\d_]+)|\.([\d_]*))?")
+
+
 def _parse_rational(tok: str) -> Fraction:
+    """An integer, a decimal or p/q, as an exact Fraction."""
+    m = _RATIONAL.fullmatch(tok)
+    if m is None:
+        raise InputError(f"bad rational {tok!r}")
+    sign, num, den, frac = m.groups()
     try:
-        return Fraction(tok)  # handles "p/q", ints, and decimal strings
+        num = int(num) if num else 0
+        den = int(den) if den else 1
+        if frac:
+            den = 10 ** len(frac.replace("_", ""))
+            num = num * den + int(frac)
+        return Fraction(-num if sign == "-" else num, den)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"bad rational {tok!r}") from None
 

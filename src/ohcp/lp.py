@@ -59,7 +59,7 @@ class LinearProgram:
 
 @dataclass
 class LPSolution:
-    x: list                          # Fractions, length N
+    x: list                          # ints, or Fractions if not integral; N
     objective: Fraction
     basis: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)  # counts and basis_det
@@ -284,7 +284,7 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
     # factor changes no sign, so no pivot changes, and D d stays in the
     # integers
     scale = math.lcm(*(v.denominator for v in lp.objective))
-    cost = [_exact(v * scale) for v in lp.objective]
+    cost = [v.numerator * (scale // v.denominator) for v in lp.objective]
     tab.minimize(cost)
     x = tab.point()
     # exactness check, zero tolerance
@@ -303,7 +303,7 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
             raise AssertionError("simplex returned a point outside its bounds")
         if (rj > 0 and v != 0) or (rj < 0 and v != up):
             raise AssertionError("simplex optimum fails its dual certificate")
-    obj = Fraction(sum(lp.objective[j] * v for j, v in enumerate(x) if v))
-    return LPSolution(x=[Fraction(v) for v in x], objective=obj,
+    obj = Fraction(sum(cost[j] * v for j, v in enumerate(x) if v), scale)
+    return LPSolution(x=x, objective=obj,
                       basis=sorted(tab.basis), stats=tab.stats(),
                       duals=[Fraction(p, scale) for p in pi])

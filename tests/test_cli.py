@@ -234,6 +234,26 @@ class TestSolvePipeline:
         assert json.loads(out)["objective"] == "0/1"
 
 
+    @pytest.mark.parametrize("flag, text", [
+        ("--weights", "1e99999999 0 1\n"),
+        ("--coords", "0 0 0\n1 1e99999999 0\n2 3 4\n"),
+    ])
+    def test_exponent_token_exits_at_once(self, paths, flag, text):
+        # an exponent is no number form; read as one, this token would ask
+        # for a 10**99999999 that takes minutes to build
+        path = paths["tmp"] / "huge.txt"
+        path.write_text(text)
+        argv = ["solve", "--complex", paths["triangle"], "--chain",
+                paths["chain"], "--dim", "1", flag, path]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(ohcp.__file__)))
+        done = subprocess.run([sys.executable, "-m", "ohcp.cli",
+                               *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=5)
+        assert (done.returncode, done.stdout) == (4, "")
+        assert done.stderr.startswith("error: ")
+
+
 class TestSparseCascade:
     """The TU routes read the cached sparse boundary, never a dense one."""
 

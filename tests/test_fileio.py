@@ -124,6 +124,33 @@ PARSERS = {
 }
 
 
+class TestRationalTokens:
+    @pytest.mark.parametrize("tok, value", [
+        ("7", 7), ("-7", -7), ("+7", 7), ("0.25", Fraction(1, 4)),
+        (".5", Fraction(1, 2)), ("5.", 5), ("-.5", Fraction(-1, 2)),
+        ("3/7", Fraction(3, 7)), ("-6/4", Fraction(-3, 2)),
+        ("\u0663/\u0667", Fraction(3, 7)),
+        ("1_000.000_1", Fraction(10000001, 10000)),
+    ])
+    def test_value(self, tok, value):
+        assert fileio.parse_coordinates(f"0 {tok}\n")[0] == [value]
+
+    @settings(max_examples=200, deadline=None)
+    @given(tok=st.from_regex(r"\A[-+]?(\d+(/\d*[1-9]\d*|\.\d*)?|\.\d+)\Z"))
+    def test_same_value_as_fraction(self, tok):
+        assert fileio.parse_coordinates(f"0 {tok}\n")[0] == [Fraction(tok)]
+
+    @pytest.mark.parametrize("tok", [
+        "1e3", "1E3", "1.5e-2", "1/0", "1/-2", "1/2/3", ".", "-", "1.2.3",
+        "1._5", "1__0", "1_", "0x10", "inf", "nan", "1" * 5000,
+    ])
+    def test_rejected(self, tok):
+        with pytest.raises(InputError):
+            fileio.parse_coordinates(f"0 {tok}\n")
+        with pytest.raises(InputError):
+            fileio.parse_weights(f"{tok} 0 1\n", fixtures.triangle(), 1)
+
+
 class TestNonIntegerTokens:
     @pytest.mark.parametrize("name, text", [
         ("matrix", "3 x\n"),
@@ -138,10 +165,10 @@ class TestNonIntegerTokens:
             PARSERS[name](text)
 
 
-# the characters the formats use plus a few that they do not; no 'e', since
-# a decimal exponent makes Fraction build the full power of ten, and short
-# lines, since a complex line with k vertices closes to 2**k faces
-fuzz_text = st.text(alphabet="0123456789  -+/.#\n\tx\u00e9\u0663",
+# the characters the formats use plus a few that they do not, among them
+# the exponent letters that no number form accepts; short lines, since a
+# complex line with k vertices closes to 2**k faces
+fuzz_text = st.text(alphabet="0123456789  -+/.#\n\txeE\u00e9\u0663",
                     max_size=40)
 
 

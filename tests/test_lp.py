@@ -163,6 +163,26 @@ class TestIntegrality:
         sol = simplex_solve(ohcp_lp([[1, 2]], [0], [1, 1, 1, 1, 1, 1]))
         assert sol.x == [0] * 6
 
+    def test_result_types(self):
+        # x holds the tableau's exact values, ints where integral and
+        # Fractions where not; the objective and the duals are Fractions
+        from ohcp.complexes import boundary_matrix
+        from ohcp import fixtures
+        B = boundary_matrix(fixtures.tetrahedron_surface(), 2)
+        m, n = len(B), len(B[0])
+        c = [(1, -1, 0)[i % 3] for i in range(m)]
+        cost = [Fraction(1 + i % 3, 3) for i in range(2 * m)] + [0] * (2 * n)
+        for lp, integral in ((ohcp_lp(B, c, cost), True),
+                             (ohcp_lp([[2]], [1], [1, 1, 0, 0]), False)):
+            sol = simplex_solve(lp)
+            assert all((type(v) is int) == integral or v.denominator == 1
+                       for v in sol.x)
+            assert all(type(v) is int or v.denominator != 1 for v in sol.x)
+            assert type(sol.objective) is Fraction
+            assert sol.objective == sum(Fraction(f) * Fraction(v)
+                                        for f, v in zip(lp.objective, sol.x))
+            assert all(type(z) is Fraction for z in sol.duals)
+
 
 # (pivots, bound flips) that the dense Fraction simplex took in phase 2 on
 # the LP of each bundled fixture; its phase 1 took m pivots and ended on the
