@@ -4,8 +4,9 @@
 .chn  chain:   "coeff v0 v1 ... vp"; sign adjusted by permutation parity
 .wts  weights: "num/den v0 ... vp"; unlisted simplices default to weight 1
 .xyz  coords:  "vid x1 ... xd"
-A weight or coordinate is an integer, a decimal or p/q; nothing else.
 .mat  matrix:  "m n" header, then m rows of n signed integers
+
+A weight or coordinate is an integer, a decimal or p/q; nothing else.
 """
 from __future__ import annotations
 

@@ -233,7 +233,6 @@ class TestSolvePipeline:
         assert code == 0
         assert json.loads(out)["objective"] == "0/1"
 
-
     @pytest.mark.parametrize("flag, text", [
         ("--weights", "1e99999999 0 1\n"),
         ("--coords", "0 0 0\n1 1e99999999 0\n2 3 4\n"),

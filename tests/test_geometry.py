@@ -97,7 +97,7 @@ class TestRationalSqrt:
         assert rational_sqrt(Fraction(3)) == Fraction(1732050808, 10 ** 9)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative squared volume"):
             rational_sqrt(Fraction(-1))
 
 

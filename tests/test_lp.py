@@ -175,9 +175,8 @@ class TestIntegrality:
         for lp, integral in ((ohcp_lp(B, c, cost), True),
                              (ohcp_lp([[2]], [1], [1, 1, 0, 0]), False)):
             sol = simplex_solve(lp)
-            assert all((type(v) is int) == integral or v.denominator == 1
-                       for v in sol.x)
             assert all(type(v) is int or v.denominator != 1 for v in sol.x)
+            assert all(type(v) is int for v in sol.x) == integral
             assert type(sol.objective) is Fraction
             assert sol.objective == sum(Fraction(f) * Fraction(v)
                                         for f, v in zip(lp.objective, sol.x))
