@@ -86,17 +86,25 @@ def _parse_rational(tok: str) -> Fraction:
 
 
 def parse_weights(text: str, K: SimplicialComplex, p: int):
+    """One weight per p-simplex, 1 where unlisted; a simplex listed twice,
+    in any vertex order, is an error."""
     weights = [Fraction(1)] * K.count(p)
+    seen = set()
     for lineno, line in _content_lines(text):
         toks = line.split()
         if len(toks) != p + 2:
             raise InputError(f"line {lineno}: expected weight and {p + 1} vertices")
         verts, _ = canonical(_ints(toks[1:], lineno, "vertex ids"))
-        weights[K.index_of(p, verts)] = _parse_rational(toks[0])
+        i = K.index_of(p, verts)
+        if i in seen:
+            raise InputError(f"line {lineno}: repeated simplex {verts}")
+        seen.add(i)
+        weights[i] = _parse_rational(toks[0])
     return weights
 
 
 def parse_coordinates(text: str):
+    """{vertex id: point}; a vertex listed twice is an error."""
     coords = {}
     dim = None
     for lineno, line in _content_lines(text):
@@ -104,6 +112,8 @@ def parse_coordinates(text: str):
         if len(toks) < 2:
             raise InputError(f"line {lineno}: expected vertex id and coordinates")
         vid = _ints(toks[:1], lineno, "vertex id")[0]
+        if vid in coords:
+            raise InputError(f"line {lineno}: repeated vertex {vid}")
         pt = [_parse_rational(t) for t in toks[1:]]
         if dim is None:
             dim = len(pt)

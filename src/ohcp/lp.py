@@ -19,17 +19,23 @@ so the pivots are those of the two-phase simplex. The LP is bounded: every
 cost is >= 0, so no improving ray exists and every ratio test finds a limit.
 
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968): integer rows
-N = D B^{-1} A ({column: entry}, zeros never stored) over one positive int
-D = |det B|, so the rational tableau is N / D. A pivot on p = N[r][j] makes
-row r sgn(p) N_r and every other row i (|p| N_i - sgn(p) N_ij N_r) / D, a
-division that Sylvester's identity makes exact, and sets D = |p|; a row with
-no entry in column j is only scaled by |p| / D. When |p| = D only row r's
-support changes, by N_ij N_r / D, exact as well. Over a TU matrix every
-basis has |det B| = 1, so D stays 1 and a pivot is a plain integer
-elimination. The reduced costs are held as D d, one more row in the
-elimination; a bound flip leaves them unchanged. The ratio test, the bound
-flips and the basic values keep exact values, ints or Fractions, e.g.
-t = beta_r D / |N_rj|.
+N = D B^{-1} A over one positive int D = |det B|, so the rational tableau is
+N / D. Column x_i^- of A is minus column x_i^+, and y_j^- minus y_j^+, so
+every N keeps each such pair exact negatives: a row stores only its x^+ and
+y^+ entries ({column: entry}, zeros never stored), and a read of an x^- or
+y^- column negates its twin. A pivot on p = N[r][j] makes row r sgn(p) N_r
+and every other row i (|p| N_i - sgn(p) N_ij N_r) / D, a division that
+Sylvester's identity makes exact, and sets D = |p|; a row with no entry in
+column j is only scaled by |p| / D. When |p| = D only row r's support
+changes, by N_ij N_r / D, exact as well. Over a TU matrix every basis has
+|det B| = 1, so D stays 1 and a pivot is a plain integer elimination.
+
+The basic values are held as the ints b = D x_B, a right-hand side that is
+one more column of the elimination, and the reduced costs as D d, one more
+row, kept on all N columns since twins differ in cost; a bound flip
+subtracts u dir N_j from b and leaves D d unchanged. The ratio test
+compares the steps b_r / |N_rj| by cross-multiplication, so no Fraction
+enters the loop.
 """
 from __future__ import annotations
 
@@ -59,28 +65,11 @@ class LinearProgram:
 
 @dataclass
 class LPSolution:
-    x: list                          # ints, or Fractions if not integral; N
+    x: list                          # (D x) / D: ints, else Fractions
     objective: Fraction
     basis: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)  # counts and basis_det
     duals: list = None               # Fractions, length m
-
-
-def _exact(v):
-    """v as an int when it is integral, else as a Fraction."""
-    if type(v) is int or v.denominator != 1:
-        return v
-    return v.numerator
-
-
-def _div(a, b):
-    """Exact a / b for positive b, normalised by `_exact`."""
-    if b == 1:
-        return a
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return _exact(a / b)
 
 
 def _bland(d, status):
@@ -97,34 +86,46 @@ def _bland(d, status):
 
 class _Tableau:
     """Bounded-variable simplex state: the integer rows N = D B^{-1} A over
-    one positive int D = |det B|, and the reduced costs as D d."""
+    one positive int D = |det B|, stored on the x^+ and y^+ columns, the
+    basic values as b = D x_B and the reduced costs as D d."""
 
-    def __init__(self, upper, basis, rows, beta, status):
+    def __init__(self, upper, twin, basis, rows, b, status):
         self.upper = upper
+        self.twin = twin            # column twin[j] of A is minus column j
         self.basis = basis          # basis[r] = variable index of row r
-        self.rows = rows            # rows[r] = {column: nonzero int}
+        self.rows = rows            # rows[r] = {column j < twin[j]: nonzero}
         self.det = 1                # D; the crash basis is diagonal, +-1
-        self.beta = beta            # values of basic variables
+        self.b = b                  # D x_B, ints
         self.status = status        # _AT_LOWER/_AT_UPPER; None when basic
         self.pivots = 0
         self.bound_flips = 0
         self.d = None               # D d, ints, of the last minimize
 
-    def point(self):
-        x = [self.upper[j] if s == _AT_UPPER else 0
+    def scaled_point(self):
+        """D x, ints."""
+        x = [self.det * self.upper[j] if s == _AT_UPPER else 0
              for j, s in enumerate(self.status)]
-        for r, bj in enumerate(self.basis):
-            x[bj] = self.beta[r]
+        for bj, v in zip(self.basis, self.b):
+            x[bj] = v
         return x
 
     def stats(self):
         return {"pivots": self.pivots, "bound_flips": self.bound_flips,
                 "basis_det": self.det}
 
+    def entry(self, r, j):
+        """N[r][j]."""
+        k = self.twin[j]
+        return self.rows[r].get(j, 0) if j < k else -self.rows[r].get(k, 0)
+
     def column(self, j):
         """Nonzeros of column j as (row, entry) pairs in row order."""
-        return [(r, v) for r, row in enumerate(self.rows)
-                if (v := row.get(j)) is not None]
+        k = self.twin[j]
+        if j < k:
+            return [(r, v) for r, row in enumerate(self.rows)
+                    if (v := row.get(j)) is not None]
+        return [(r, -v) for r, row in enumerate(self.rows)
+                if (v := row.get(k)) is not None]
 
     def pivot(self, r, j, col):
         """Make x_j basic in row r, given column j's nonzeros `col`, by one
@@ -136,7 +137,7 @@ class _Tableau:
         rows = self.rows
         det = self.det
         prow = rows[r]
-        p = prow[j]
+        p = self.entry(r, j)
         if p < 0:
             p = -p
             prow = rows[r] = {k: -v for k, v in prow.items()}
@@ -173,15 +174,12 @@ class _Tableau:
 
     def minimize(self, cost):
         """Run Bland-rule simplex from the crash basis, for int costs."""
-        rows, basis, beta = self.rows, self.basis, self.beta
+        rows, basis, b, twin = self.rows, self.basis, self.b, self.twin
         upper, status = self.upper, self.status
         # D d = cost - c_B N with D = 1, kept current below
         self.d = d = list(cost)
         for r, row in enumerate(rows):
-            cr = cost[basis[r]]
-            if cr:
-                for k, v in row.items():
-                    d[k] -= cr * v
+            _eliminate(d, cost[basis[r]], row.items(), 1, 1, twin)
         while True:
             # D > 0, so D d has the signs of d
             entering = _bland(d, status)
@@ -190,55 +188,62 @@ class _Tableau:
             j, direction = entering
             col = self.column(j)
             det = self.det
-            # ratio test: how far can x_j move in `direction`, with the
-            # tableau entry v / D; ties go to the lowest-index leaving
+            # ratio test: x_j may move by t = num / |v| before row r's basic
+            # variable meets a bound; ties go to the lowest-index leaving
             # variable
-            best_t = None
-            leave_row = None
-            leave_bound = None
+            best = leave_row = leave_bound = None
             for r, v in col:
                 bv = basis[r]
                 if (v > 0) == (direction == 1):
-                    t = _div(beta[r] * det, abs(v))
-                    bound = _AT_LOWER
+                    num, bound = b[r], _AT_LOWER
                 elif upper[bv] is None:
                     continue
                 else:
-                    t = _div((upper[bv] - beta[r]) * det, abs(v))
-                    bound = _AT_UPPER
-                if (best_t is None or t < best_t
-                        or (t == best_t and bv < basis[leave_row])):
-                    best_t, leave_row, leave_bound = t, r, bound
-            flip_t = upper[j]
-            if best_t is None and flip_t is None:
+                    num, bound = upper[bv] * det - b[r], _AT_UPPER
+                if best is not None:
+                    lhs, rhs = num * best[1], best[0] * abs(v)
+                    if lhs > rhs or (lhs == rhs and bv > basis[leave_row]):
+                        continue
+                best, leave_row, leave_bound = (num, abs(v)), r, bound
+            flip = upper[j]
+            if best is None and flip is None:
                 raise AssertionError("simplex found an improving ray on an "
                                      "LP whose costs are all >= 0")
-            if flip_t is not None and (best_t is None or flip_t < best_t):
+            if flip is not None and (best is None
+                                     or flip * best[1] < best[0]):
                 # bound flip, no basis change, reduced costs unchanged
-                step = flip_t * direction
+                step = flip * direction
                 for r, v in col:
-                    beta[r] = _exact(beta[r] - _div(step * v, det))
+                    b[r] -= step * v
                 status[j] = _AT_UPPER if direction == 1 else _AT_LOWER
                 self.bound_flips += 1
                 continue
+            # b is one more column: (|p| b - direction num N_j) / D, and x_j
+            # enters at |p| t = num from its bound
+            num, p = best
+            _eliminate(b, direction * num, col, p, det)
             r = leave_row
-            step = best_t * direction
-            for i, v in col:
-                if i != r:
-                    beta[i] = _exact(beta[i] - _div(step * v, det))
-            beta[r] = _exact(step if direction == 1 else upper[j] + step)
+            b[r] = num if direction == 1 else p * upper[j] - num
             leaving, prow = self.pivot(r, j, col)
             status[leaving] = leave_bound
             # the D d row is one more row in column j
-            p, f = self.det, d[j]
-            if p == det:
-                for k, v in prow.items():
-                    d[k] -= f * v // det
-                continue
-            d[:] = [p * v for v in d]
-            for k, v in prow.items():
-                d[k] -= f * v
-            d[:] = [v // det for v in d]
+            _eliminate(d, d[j], prow.items(), p, det, twin)
+
+
+def _eliminate(vec, f, pairs, p, det, twin=None):
+    """vec <- (p vec - f w) / det, for w given by its (index, entry) `pairs`
+    and, with `twin`, minus those entries at the twins: one more row or
+    column of the pivot, so every division is exact."""
+    scaled = p != det
+    if scaled:
+        vec[:] = [p * v for v in vec]
+    for k, v in pairs:
+        w = f * v if scaled else f * v // det
+        vec[k] -= w
+        if twin:
+            vec[twin[k]] += w
+    if scaled:
+        vec[:] = [v // det for v in vec]
 
 
 def _subtract(row, f, prow):
@@ -256,29 +261,35 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
     with A x = c satisfied exactly. `stats` counts the pivots and the bound
     flips, and gives basis_det, the final D.
 
-    Every result proves itself by a dual certificate. The simplex prices
-    with scale * f; column x_i^+ of A is the unit vector e_i, so its reduced
-    cost is scale * f_i - pi_i, which gives pi. The check recomputes
-    r = scale * f - A'pi from A's nonzeros and demands 0 <= x <= upper,
-    x_j = 0 where r_j > 0 and x_j = upper_j where r_j < 0. Then for any
-    feasible x', scale * f x' = pi c + r x' >= pi c + r x = scale * f x, so x
-    is optimal. `duals` is pi / scale.
+    Every result proves itself by a dual certificate, checked in the ints
+    of the final tableau. The simplex prices with scale * f; column x_i^+ of
+    A is the unit vector e_i, so its reduced cost gives pi' = D scale f_i -
+    (D d)_i. The check confirms A (D x) = D c, recomputes r' = D scale f -
+    A'pi' from A's nonzeros and demands 0 <= D x <= D upper, x_j = 0 where
+    r'_j > 0 and x_j = upper_j where r'_j < 0. Then for any feasible x',
+    scale f x' = (pi' c + r' x') / D >= (pi' c + r' x) / D = scale f x, so x
+    is optimal. `duals` is pi' / (scale D).
     """
     m, N = lp.num_constraints, lp.num_vars
-    upper = [1 if lp.box else None] * (2 * m) + [None] * (N - 2 * m)
+    n = (N - 2 * m) // 2
+    upper = [1 if lp.box else None] * (2 * m) + [None] * (2 * n)
+    twin = [*range(m, 2 * m), *range(m), *range(2 * m + n, N),
+            *range(2 * m, 2 * m + n)]
+    if len(twin) != N or any(row.get(twin[k]) != -a
+                             for row in lp.A for k, a in row.items()):
+        raise AssertionError("A is not [I -I -B B]: some x^- or y^- column "
+                             "is not minus its twin")
     # the crash basis: x_i^+ where c_i >= 0, else x_i^- with row i negated
     rows, basis = [], []
     for i, (row, ci) in enumerate(zip(lp.A, lp.b)):
-        if ci >= 0:
-            rows.append(dict(row))
-            basis.append(i)
-        else:
-            rows.append({k: -a for k, a in row.items()})
-            basis.append(m + i)
+        sign = 1 if ci >= 0 else -1
+        rows.append({k: sign * a for k, a in row.items() if k < twin[k]})
+        basis.append(i if ci >= 0 else m + i)
     status = [_AT_LOWER] * N
     for j in basis:
         status[j] = None
-    tab = _Tableau(upper, basis, rows, [abs(ci) for ci in lp.b], status)
+    tab = _Tableau(upper, twin, basis, rows, [abs(ci) for ci in lp.b],
+                   status)
 
     # price with the objective times the lcm of its denominators: a positive
     # factor changes no sign, so no pivot changes, and D d stays in the
@@ -286,24 +297,29 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
     scale = math.lcm(*(v.denominator for v in lp.objective))
     cost = [v.numerator * (scale // v.denominator) for v in lp.objective]
     tab.minimize(cost)
-    x = tab.point()
+    det = tab.det
+    x = tab.scaled_point()
     # exactness check, zero tolerance
     for row, rhs in zip(lp.A, lp.b):
-        if sum(a * x[j] for j, a in row.items()) != rhs:
+        if sum(a * x[j] for j, a in row.items()) != det * rhs:
             raise AssertionError("simplex returned a point with A x != b")
-    # dual certificate, in the units of 1/scale
-    pi = [cost[i] - _div(tab.d[i], tab.det) for i in range(m)]
-    r = list(cost)
+    # dual certificate, in the units of 1/(scale D)
+    pi = [det * cost[i] - tab.d[i] for i in range(m)]
+    r = [det * f for f in cost]
     for row, p in zip(lp.A, pi):
         if p:
             for j, a in row.items():
                 r[j] -= a * p
     for v, up, rj in zip(x, upper, r):
+        up = None if up is None else det * up
         if v < 0 or (up is not None and v > up):
             raise AssertionError("simplex returned a point outside its bounds")
         if (rj > 0 and v != 0) or (rj < 0 and v != up):
             raise AssertionError("simplex optimum fails its dual certificate")
-    obj = Fraction(sum(cost[j] * v for j, v in enumerate(x) if v), scale)
+    obj = Fraction(sum(cost[j] * v for j, v in enumerate(x) if v),
+                   scale * det)
+    if det > 1:
+        x = [v // det if v % det == 0 else Fraction(v, det) for v in x]
     return LPSolution(x=x, objective=obj,
                       basis=sorted(tab.basis), stats=tab.stats(),
-                      duals=[Fraction(p, scale) for p in pi])
+                      duals=[Fraction(p, scale * det) for p in pi])

@@ -234,6 +234,20 @@ class TestSolvePipeline:
         assert json.loads(out)["objective"] == "0/1"
 
     @pytest.mark.parametrize("flag, text", [
+        ("--weights", "2 0 1\n5 1 0\n"),
+        ("--coords", "0 0 0\n1 3 0\n1 30 0\n2 3 4\n"),
+    ], ids=["weights", "coords"])
+    def test_repeated_line_exit_code(self, paths, capsys, flag, text):
+        # a second line for the same simplex or vertex used to win silently
+        path = paths["tmp"] / "repeated.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "solve", "--complex", paths["triangle"],
+                             "--chain", paths["chain"], "--dim", "1",
+                             flag, path)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: line ") and "repeated" in err
+
+    @pytest.mark.parametrize("flag, text", [
         ("--weights", "1e99999999 0 1\n"),
         ("--coords", "0 0 0\n1 1e99999999 0\n2 3 4\n"),
     ])

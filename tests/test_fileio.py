@@ -85,6 +85,12 @@ class TestWeightsFormat:
         with pytest.raises(InputError):
             fileio.parse_weights("x 0 1\n", K, 1)
 
+    def test_repeated_simplex(self):
+        # edge (1, 0) is edge (0, 1) again; neither weight is kept silently
+        K = fixtures.triangle()
+        with pytest.raises(InputError, match=r"line 2: repeated simplex"):
+            fileio.parse_weights("2 0 1\n5 1 0\n", K, 1)
+
 
 class TestCoordinatesFormat:
     def test_parse(self):
@@ -95,6 +101,10 @@ class TestCoordinatesFormat:
     def test_inconsistent_dimension(self):
         with pytest.raises(InputError):
             fileio.parse_coordinates("0 0 0\n1 1\n")
+
+    def test_repeated_vertex(self):
+        with pytest.raises(InputError, match=r"line 3: repeated vertex 1"):
+            fileio.parse_coordinates("0 0 0\n1 3 0\n1 30 0\n2 3 4\n")
 
 
 class TestMatrixFormat:

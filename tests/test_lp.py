@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dense_simplex_reference as dense_reference
-from helpers import IntMatrix
+from helpers import IntMatrix, klein_grid
 from ohcp import lp as lp_module
 from ohcp.lp import LinearProgram, simplex_solve
 from square_solve import solve_square
@@ -125,6 +125,14 @@ class TestBasics:
         # and a ratio test with no limit is a bug
         lp = ohcp_lp([[1]], [0], [0, 0, -1, 0])
         with pytest.raises(AssertionError, match="improving ray"):
+            simplex_solve(lp)
+
+    def test_columns_not_mirrored(self):
+        # the tableau stores one column per x^+/x^- and y^+/y^- pair, so an
+        # A whose x^- column is not minus its x^+ column is refused
+        lp = ohcp_lp([[1]], [1], [1, 1, 0, 0])
+        lp.A[0][1] = 2
+        with pytest.raises(AssertionError, match="twin"):
             simplex_solve(lp)
 
     def test_infeasible(self):
@@ -396,19 +404,21 @@ class TestDualCertificate:
 
 def spy_on_tableau(monkeypatch):
     """Check, before every pivot and after every minimize, that the tableau
-    rows and the D d row hold ints only; returns the (|p|, D) of each
-    pivot."""
+    rows, the D d row, the basic values b = D x_B and the point D x hold
+    ints only; returns the (|p|, D) of each pivot."""
     seen = []
     pivot, minimize = lp_module._Tableau.pivot, lp_module._Tableau.minimize
 
     def all_int(tab):
         return (all(type(v) is int for row in tab.rows for v in row.values())
                 and (tab.d is None or all(type(v) is int for v in tab.d))
+                and all(type(v) is int for v in tab.b)
+                and all(type(v) is int for v in tab.scaled_point())
                 and type(tab.det) is int and tab.det > 0)
 
     def checked_pivot(tab, r, j, col):
         assert all_int(tab)
-        seen.append((abs(tab.rows[r][j]), tab.det))
+        seen.append((abs(tab.entry(r, j)), tab.det))
         return pivot(tab, r, j, col)
 
     def checked_minimize(tab, cost):
@@ -488,6 +498,25 @@ class TestBasisDeterminant:
                 fractional.append(name)
                 assert det >= 2, name
         assert fractional
+
+    def test_six_by_six_klein_grid_pinned(self):
+        # L0Box on the loop around i at j = 0, a torsion class of order 2:
+        # y = 1/2 on every triangle bounds it, so the optimum is x = 0 with
+        # D = 2
+        from ohcp.solver import OHCPInstance, assemble, solve
+        K = klein_grid(6, 6)
+        c = [0] * K.count(1)
+        for i in range(6):
+            u, v = i, (i + 1) % 6
+            c[K.index_of(1, (min(u, v), max(u, v)))] = 1 if u < v else -1
+        inst = OHCPInstance(K=K, p=1, c=c, weights=[1] * len(c),
+                            variant="L0Box")
+        assert simplex_solve(assemble(inst)).stats == {
+            "pivots": 161, "bound_flips": 0, "basis_det": 2}
+        sol = solve(inst)
+        assert sol.objective == 0 and not sol.integral
+        assert [j for j, v in enumerate(sol.y_witness) if v] == \
+            list(range(K.count(2))) == list(range(72))
 
     def test_small_cases(self):
         # no pivot leaves the crash basis's D = 1; x - 2 y = 1 ends on the
