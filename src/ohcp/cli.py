@@ -139,11 +139,8 @@ def _build_instance(args):
         if not args.y_weights:
             raise InputError("TotalWeight needs --y-weights")
         y_weights = fileio.parse_weights(_read(args.y_weights), K, p + 1)
-    try:
-        return OHCPInstance(K=K, p=p, c=c, weights=weights, variant=variant,
-                            y_weights=y_weights)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return OHCPInstance(K=K, p=p, c=c, weights=weights, variant=variant,
+                        y_weights=y_weights)
 
 
 def cmd_solve(args):
@@ -183,8 +180,9 @@ def build_parser():
             p.add_argument("--complex", required=True, metavar="K.scx")
         if flags.get("dim"):
             p.add_argument("--dim", type=int, required=True)
-        if flags.get("caps"):
+        if flags.get("col_cap"):
             p.add_argument("--col-cap", type=int, default=16)
+        if flags.get("budget"):
             p.add_argument("--budget", type=int, default=10 ** 6)
         return p
 
@@ -194,12 +192,13 @@ def build_parser():
     p.set_defaults(fn=cmd_snf)
     p.add_argument("--matrix", required=True, metavar="M.mat")
 
-    p = add("tu", cmd_tu, complex=True, dim=True, caps=True)
+    p = add("tu", cmd_tu, complex=True, dim=True, col_cap=True, budget=True)
     p.add_argument("--method", choices=("auto", "minors", "ht", "mobius"),
                    default="auto")
 
-    add("mobius-scan", cmd_mobius_scan, complex=True, dim=True, caps=True)
-    add("torsion-scan", cmd_torsion_scan, complex=True, dim=True, caps=True)
+    add("mobius-scan", cmd_mobius_scan, complex=True, dim=True, budget=True)
+    add("torsion-scan", cmd_torsion_scan, complex=True, dim=True,
+        col_cap=True, budget=True)
 
     p = add("solve", cmd_solve, complex=True, dim=True)
     p.add_argument("--chain", required=True, metavar="c.chn")

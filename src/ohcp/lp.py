@@ -1,10 +1,12 @@
 """Exact simplex for the OHCP linear program.
 
-min f'x  s.t.  A x = c,  x >= 0,  and x_k <= 1 for k < 2m when boxed
+min sum f_i |x_i| + sum g_j |y_j|  s.t.  x = c + B y  (and |x_i| <= 1 boxed)
 
-with A = [I  -I  -B  B] over the columns x^+, x^-, y^+, y^- (B the m x n
-boundary matrix, N = 2m + 2n columns) as m sparse int rows {column: nonzero},
-every cost f_k >= 0, the integer chain c, and L0Box's box x^+, x^- <= 1.
+for the m x n boundary matrix B as n sparse int columns {row: nonzero}, the
+integer chain c and costs f, g >= 0, one per simplex. Only the simplex
+splits x = x^+ - x^- and y = y^+ - y^-: A x = c with A = [I -I -B B] over
+the N = 2m + 2n columns x^+, x^-, y^+, y^-, each at its simplex's cost, and
+x^+, x^- <= 1 under L0Box's box.
 
 All arithmetic is exact, so optima are exact and A x = c holds with no
 tolerance. The solver is a bounded-variable simplex with Bland's anti-cycling
@@ -32,10 +34,10 @@ changes, by N_ij N_r / D, exact as well. Over a TU matrix every basis has
 
 The basic values are held as the ints b = D x_B, a right-hand side that is
 one more column of the elimination, and the reduced costs as D d, one more
-row, kept on all N columns since twins differ in cost; a bound flip
-subtracts u dir N_j from b and leaves D d unchanged. The ratio test
-compares the steps b_r / |N_rj| by cross-multiplication, so no Fraction
-enters the loop.
+row, kept on all N columns so that Bland's scan and its ties are those of
+the full tableau; a bound flip subtracts u dir N_j from b and leaves D d
+unchanged. The ratio test compares the steps b_r / |N_rj| by
+cross-multiplication, so no Fraction enters the loop.
 """
 from __future__ import annotations
 
@@ -49,23 +51,25 @@ _AT_UPPER = "U"
 
 @dataclass
 class LinearProgram:
-    objective: list                  # rationals >= 0, length N = 2m + 2n
-    A: list                          # m sparse int rows of [I -I -B B]
-    b: list                          # the chain c, m ints
-    box: bool = False                # x^+, x^- <= 1 (L0Box)
+    B: list                          # n sparse int columns {row: nonzero}
+    c: list                          # the chain, m ints
+    x_cost: list                     # rationals >= 0, one per row
+    y_cost: list                     # rationals >= 0, one per column of B
+    box: bool = False                # |x_i| <= 1 (L0Box)
 
     @property
     def num_vars(self):
-        return len(self.objective)
+        return 2 * len(self.c) + 2 * len(self.B)
 
     @property
     def num_constraints(self):
-        return len(self.b)
+        return len(self.c)
 
 
 @dataclass
 class LPSolution:
     x: list                          # (D x) / D: ints, else Fractions
+    y: list                          # likewise, one per column of B
     objective: Fraction
     basis: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)  # counts and basis_det
@@ -258,68 +262,73 @@ def _subtract(row, f, prow):
 
 def simplex_solve(lp: LinearProgram) -> LPSolution:
     """One-phase exact simplex from the crash basis; the result is a vertex
-    with A x = c satisfied exactly. `stats` counts the pivots and the bound
-    flips, and gives basis_det, the final D.
+    with x = c + B y exactly. `basis` lists its columns of A, `stats` counts
+    the pivots and the bound flips, and gives basis_det, the final D.
 
     Every result proves itself by a dual certificate, checked in the ints
-    of the final tableau. The simplex prices with scale * f; column x_i^+ of
-    A is the unit vector e_i, so its reduced cost gives pi' = D scale f_i -
-    (D d)_i. The check confirms A (D x) = D c, recomputes r' = D scale f -
-    A'pi' from A's nonzeros and demands 0 <= D x <= D upper, x_j = 0 where
-    r'_j > 0 and x_j = upper_j where r'_j < 0. Then for any feasible x',
-    scale f x' = (pi' c + r' x') / D >= (pi' c + r' x) / D = scale f x, so x
-    is optimal. `duals` is pi' / (scale D).
+    of the final tableau. The simplex prices with scale * f over the N
+    columns; column x_i^+ of A is the unit vector e_i, so its reduced cost
+    gives pi' = D scale f_i - (D d)_i. The check confirms A (D x) = D c,
+    recomputes r' = D scale f - A'pi' from the nonzeros of B and demands
+    0 <= D x <= D upper, x_j = 0 where r'_j > 0 and x_j = upper_j where
+    r'_j < 0. Then for any feasible x', scale f x' = (pi' c + r' x') / D >=
+    (pi' c + r' x) / D = scale f x, so x is optimal. `duals` is
+    pi' / (scale D).
     """
-    m, N = lp.num_constraints, lp.num_vars
-    n = (N - 2 * m) // 2
+    m, n, N = len(lp.c), len(lp.B), lp.num_vars
     upper = [1 if lp.box else None] * (2 * m) + [None] * (2 * n)
     twin = [*range(m, 2 * m), *range(m), *range(2 * m + n, N),
             *range(2 * m, 2 * m + n)]
-    if len(twin) != N or any(row.get(twin[k]) != -a
-                             for row in lp.A for k, a in row.items()):
-        raise AssertionError("A is not [I -I -B B]: some x^- or y^- column "
-                             "is not minus its twin")
-    # the crash basis: x_i^+ where c_i >= 0, else x_i^- with row i negated
-    rows, basis = [], []
-    for i, (row, ci) in enumerate(zip(lp.A, lp.b)):
-        sign = 1 if ci >= 0 else -1
-        rows.append({k: sign * a for k, a in row.items() if k < twin[k]})
-        basis.append(i if ci >= 0 else m + i)
+    # the crash basis: x_i^+ where c_i >= 0, else x_i^- with row i negated;
+    # row i of A on the x^+ and y^+ columns is row i of [I -B]
+    sign = [1 if ci >= 0 else -1 for ci in lp.c]
+    rows = [{i: s} for i, s in enumerate(sign)]
+    for j, col in enumerate(lp.B):
+        for i, e in col.items():
+            rows[i][2 * m + j] = -sign[i] * e
+    basis = [i if s > 0 else m + i for i, s in enumerate(sign)]
     status = [_AT_LOWER] * N
     for j in basis:
         status[j] = None
-    tab = _Tableau(upper, twin, basis, rows, [abs(ci) for ci in lp.b],
+    tab = _Tableau(upper, twin, basis, rows, [abs(ci) for ci in lp.c],
                    status)
 
     # price with the objective times the lcm of its denominators: a positive
     # factor changes no sign, so no pivot changes, and D d stays in the
     # integers
-    scale = math.lcm(*(v.denominator for v in lp.objective))
-    cost = [v.numerator * (scale // v.denominator) for v in lp.objective]
+    costs = lp.x_cost * 2 + lp.y_cost * 2
+    scale = math.lcm(*(v.denominator for v in costs))
+    cost = [v.numerator * (scale // v.denominator) for v in costs]
     tab.minimize(cost)
     det = tab.det
-    x = tab.scaled_point()
-    # exactness check, zero tolerance
-    for row, rhs in zip(lp.A, lp.b):
-        if sum(a * x[j] for j, a in row.items()) != det * rhs:
-            raise AssertionError("simplex returned a point with A x != b")
-    # dual certificate, in the units of 1/(scale D)
+    point = tab.scaled_point()
+    x = [u - v for u, v in zip(point[:m], point[m:2 * m])]
+    y = [u - v for u, v in zip(point[2 * m:2 * m + n], point[2 * m + n:])]
+    # exactness check, zero tolerance: A (D x) = D c reads D x = D c + B D y
+    rhs = [det * ci for ci in lp.c]
+    for yj, col in zip(y, lp.B):
+        if yj:
+            for i, e in col.items():
+                rhs[i] += e * yj
+    if x != rhs:
+        raise AssertionError("simplex returned a point with A x != c")
+    # dual certificate, in the units of 1/(scale D); A'pi' is pi', -pi',
+    # -B'pi' and B'pi' on the columns x^+, x^-, y^+, y^-
     pi = [det * cost[i] - tab.d[i] for i in range(m)]
-    r = [det * f for f in cost]
-    for row, p in zip(lp.A, pi):
-        if p:
-            for j, a in row.items():
-                r[j] -= a * p
-    for v, up, rj in zip(x, upper, r):
+    bpi = [sum(e * pi[i] for i, e in col.items()) for col in lp.B]
+    a_pi = pi + [-p for p in pi] + [-s for s in bpi] + bpi
+    r = [det * cj - a for cj, a in zip(cost, a_pi)]
+    for v, up, rj in zip(point, upper, r):
         up = None if up is None else det * up
         if v < 0 or (up is not None and v > up):
             raise AssertionError("simplex returned a point outside its bounds")
         if (rj > 0 and v != 0) or (rj < 0 and v != up):
             raise AssertionError("simplex optimum fails its dual certificate")
-    obj = Fraction(sum(cost[j] * v for j, v in enumerate(x) if v),
+    obj = Fraction(sum(cj * v for cj, v in zip(cost, point) if v),
                    scale * det)
     if det > 1:
-        x = [v // det if v % det == 0 else Fraction(v, det) for v in x]
-    return LPSolution(x=x, objective=obj,
+        x, y = ([v // det if v % det == 0 else Fraction(v, det) for v in vec]
+                for vec in (x, y))
+    return LPSolution(x=x, y=y, objective=obj,
                       basis=sorted(tab.basis), stats=tab.stats(),
                       duals=[Fraction(p, scale * det) for p in pi])

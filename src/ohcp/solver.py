@@ -2,20 +2,20 @@
 
 A p-chain x is homologous to the input chain c when x = c + B y for an
 integer (p+1)-chain y, B the (p+1)-boundary matrix. Minimizing the weighted
-1-norm of x is a linear program after the usual +-splitting of variables:
-columns are ordered [x+, x-, y+, y-]. Three variants:
+1-norm of x over the rational y is the linear program that `ohcp.lp`
+solves, given B, c and one cost per simplex. Three variants:
 
-  L1          min sum |w_i| (x_i^+ + x_i^-)
-  L0Box       same with W = I, c in {-1,0,1}^m, and x^+, x^- <= 1, which
+  L1          min sum |w_i| |x_i|
+  L0Box       same with W = I, c in {-1,0,1}^m, and |x_i| <= 1, which
               makes the optimum the homologous chain of minimal support
-  TotalWeight adds |v_j| (y_j^+ + y_j^-) so the bounding chain is paid for
+  TotalWeight adds sum |v_j| |y_j| so the bounding chain is paid for
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import SimplicialComplex
+from .complexes import InputError, SimplicialComplex
 from .lp import LinearProgram, simplex_solve
 
 VARIANTS = ("L1", "L0Box", "TotalWeight")
@@ -32,23 +32,23 @@ class OHCPInstance:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise InputError(f"unknown variant {self.variant!r}")
         m = self.K.count(self.p)
         n = self.K.count(self.p + 1)
         if len(self.c) != m:
-            raise ValueError(f"chain length {len(self.c)} != {m} p-simplices")
+            raise InputError(f"chain length {len(self.c)} != {m} p-simplices")
         if len(self.weights) != m:
-            raise ValueError(f"weight length {len(self.weights)} != {m}")
+            raise InputError(f"weight length {len(self.weights)} != {m}")
         self.c = [int(v) for v in self.c]
         self.weights = [Fraction(w) for w in self.weights]
         if self.variant == "L0Box":
             if any(v not in (-1, 0, 1) for v in self.c):
-                raise ValueError("L0Box requires chain entries in {-1,0,1}")
+                raise InputError("L0Box requires chain entries in {-1,0,1}")
             if any(abs(w) != 1 for w in self.weights):
-                raise ValueError("L0Box requires identity weights")
+                raise InputError("L0Box requires identity weights")
         if self.variant == "TotalWeight":
             if self.y_weights is None or len(self.y_weights) != n:
-                raise ValueError("TotalWeight requires y-weights of length "
+                raise InputError("TotalWeight requires y-weights of length "
                                  f"{n}")
             self.y_weights = [Fraction(w) for w in self.y_weights]
 
@@ -72,30 +72,20 @@ class OHCPSolution:
     dual: list = None          # z, one rational per p-simplex; see solve
 
 
-def _boundary_columns(inst: OHCPInstance):
-    """The complex's cached sparse columns of B; none when p is the top
-    dimension."""
-    return inst.K.boundary_columns(inst.p + 1) if inst.n else []
-
-
 def assemble(inst: OHCPInstance) -> LinearProgram:
-    """The LP of `inst`, one sparse row per p-simplex i:
-    x_i^+ - x_i^- - (B y^+)_i + (B y^-)_i = c_i, in O(nnz(B))."""
-    m, n = inst.m, inst.n
-    rows = [{i: 1, m + i: -1} for i in range(m)]
-    for j, col in enumerate(_boundary_columns(inst)):
-        for i, e in col.items():
-            rows[i][2 * m + j] = -e
-            rows[i][2 * m + n + j] = e
-    x_cost = [abs(w) for w in inst.weights]
+    """The LP of `inst`: the complex's cached columns of B themselves (none
+    when p is the top dimension), c, and the absolute weights as the costs
+    of x and, for TotalWeight only, of y."""
     y_cost = ([abs(v) for v in inst.y_weights]
-              if inst.variant == "TotalWeight" else [0] * n)
-    return LinearProgram(objective=x_cost * 2 + y_cost * 2, A=rows, b=inst.c,
-                         box=inst.variant == "L0Box")
+              if inst.variant == "TotalWeight" else [0] * inst.n)
+    B = inst.K.boundary_columns(inst.p + 1) if inst.n else []
+    return LinearProgram(B=B, c=inst.c,
+                         x_cost=[abs(w) for w in inst.weights],
+                         y_cost=y_cost, box=inst.variant == "L0Box")
 
 
 def solve(inst: OHCPInstance) -> OHCPSolution:
-    """Assemble the chosen variant, solve exactly, reconstruct x and y.
+    """Assemble the chosen variant, solve exactly, re-check x = c + B y.
 
     Non-integral vertices (possible only over non-TU boundary matrices) are
     returned as-is with integral=False and a note; they are never rounded.
@@ -107,11 +97,9 @@ def solve(inst: OHCPInstance) -> OHCPSolution:
     """
     lp = assemble(inst)
     sol = simplex_solve(lp)
-    m, n = inst.m, inst.n
-    x = [sol.x[i] - sol.x[m + i] for i in range(m)]
-    y = [sol.x[2 * m + j] - sol.x[2 * m + n + j] for j in range(n)]
+    x, y = sol.x, sol.y
     c_by = list(inst.c)
-    for yj, col in zip(y, _boundary_columns(inst)):
+    for yj, col in zip(y, lp.B):
         if yj:
             for i, e in col.items():
                 c_by[i] += e * yj
@@ -122,9 +110,6 @@ def solve(inst: OHCPInstance) -> OHCPSolution:
     if not integral:
         note = ("optimum is fractional; the boundary matrix is not totally "
                 "unimodular -- run a torsion scan for a witness")
-    if integral:
-        x = [int(v) for v in x]
-        y = [int(v) for v in y]
     return OHCPSolution(x_star=x, y_witness=y, objective=sol.objective,
                         integral=integral, variant=inst.variant,
                         torsion_note=note, dual=sol.duals)

@@ -194,7 +194,7 @@ def test_acceptance_9_lp_soundness():
     for _ in range(50):
         lp = random_lp(rng)
         assert simplex_solve(lp).objective == best_vertex_objective(lp)
-        degenerate += lp.box and 0 in lp.b
+        degenerate += lp.box and 0 in lp.c
     assert degenerate
     report(9, "50 random OHCP LPs, TU or not, match brute-force vertex "
               "enumeration exactly; Bland's rule terminates on them, "

@@ -148,6 +148,15 @@ class TestSolvePipeline:
         assert code == 4
         assert "error" in err
 
+    def test_invalid_instance_exit_code(self, paths, capsys):
+        # an L0Box chain entry outside {-1, 0, 1}
+        chain = paths["tmp"] / "two.chn"
+        chain.write_text("2 0 1\n")
+        code, out, err = run(capsys, "solve", "--complex", paths["triangle"],
+                             "--chain", chain, "--dim", "1", "--variant", "l0")
+        assert (code, out) == (4, "")
+        assert err == "error: L0Box requires chain entries in {-1,0,1}\n"
+
     def test_non_integer_matrix_header_exit_code(self, paths, capsys):
         bad = paths["tmp"] / "bad.mat"
         bad.write_text("3 x\n")
@@ -175,7 +184,6 @@ class TestSolvePipeline:
         ("torsion-scan", "--dim", "1", "--budget", "-1"),
         ("torsion-scan", "--dim", "1", "--col-cap", "-1"),
         ("mobius-scan", "--dim", "2", "--budget", "-1"),
-        ("mobius-scan", "--dim", "2", "--col-cap", "-1"),
     ], ids=" ".join)
     def test_negative_cap_exit_code(self, paths, capsys, argv):
         code, out, err = run(capsys, argv[0], "--complex", paths["moebius"],
@@ -188,6 +196,15 @@ class TestSolvePipeline:
                            paths["moebius"], "--dim", "2", "--budget", "0")
         assert code == 5
         assert err == "undecided: cycle search exceeded budget 0\n"
+
+    def test_mobius_scan_refuses_col_cap(self, paths, capsys):
+        # the cycle search has no column cap, so argparse refuses the flag
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "mobius-scan", "--complex", paths["moebius"],
+                "--dim", "2", "--col-cap", "16")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --col-cap 16" in err
 
     def test_missing_file_exit_code(self, paths, capsys):
         code, _, _ = run(capsys, "homology", "--complex",

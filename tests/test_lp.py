@@ -16,35 +16,51 @@ from square_solve import solve_square
 
 
 def ohcp_lp(B, c, cost, box=False):
-    """The LP [I -I -B B] x = c, x >= 0, of the int rows B (one per entry of
-    c, all of one length), with column costs `cost`; boxed, x^+, x^- <= 1."""
+    """The OHCP LP x = c + B y of the int rows B (one per entry of c, all of
+    one length n), with `cost` one per x_i then one per y_j; boxed,
+    |x_i| <= 1."""
     m, n = len(B), len(B[0])
-    rows = [{i: 1, m + i: -1} for i in range(m)]
-    for i, Bi in enumerate(B):
-        for j, e in enumerate(Bi):
-            if e:
-                rows[i][2 * m + j] = -e
-                rows[i][2 * m + n + j] = e
-    return LinearProgram(objective=cost, A=rows, b=c, box=box)
+    cols = [{i: B[i][j] for i in range(m) if B[i][j]} for j in range(n)]
+    return LinearProgram(B=cols, c=c, x_cost=cost[:m], y_cost=cost[m:],
+                         box=box)
 
 
-def upper_bounds(lp):
-    m = lp.num_constraints
-    return [1 if lp.box else None] * (2 * m) + [None] * (lp.num_vars - 2 * m)
-
-
-def dense(lp):
-    """The constraint matrix of `lp` as dense rows."""
-    return [[row.get(j, 0) for j in range(lp.num_vars)] for row in lp.A]
+def general(lp):
+    """`lp` as the general LP that the frozen reference reads: dense rows
+    of A = [I -I -B B] over the columns x^+, x^-, y^+, y^-, each at its
+    simplex's cost, with x^+, x^- <= 1 when boxed."""
+    m, n = lp.num_constraints, len(lp.B)
+    A = []
+    for i in range(m):
+        unit = [int(k == i) for k in range(m)]
+        Bi = [col.get(i, 0) for col in lp.B]
+        A.append(unit + [-v for v in unit] + [-e for e in Bi] + Bi)
+    return dense_reference.LinearProgram(
+        objective=lp.x_cost * 2 + lp.y_cost * 2, A=A, b=list(lp.c),
+        lower=[0] * lp.num_vars,
+        upper=[1 if lp.box else None] * (2 * m) + [None] * (2 * n))
 
 
 def reference_solve(lp):
     """The frozen two-phase dense simplex on `lp`, in the general form that
     reference reads."""
-    general = dense_reference.LinearProgram(
-        objective=lp.objective, A=dense(lp), b=lp.b,
-        lower=[0] * lp.num_vars, upper=upper_bounds(lp))
-    return dense_reference.simplex_solve(general)
+    return dense_reference.simplex_solve(general(lp))
+
+
+def signed(lp, point):
+    """(x, y) = (x^+ - x^-, y^+ - y^-) of a point of `general(lp)`."""
+    m, n = lp.num_constraints, len(lp.B)
+    return ([point[i] - point[m + i] for i in range(m)],
+            [point[2 * m + j] - point[2 * m + n + j] for j in range(n)])
+
+
+def is_homologous(lp, x, y):
+    """x = c + B y."""
+    want = list(lp.c)
+    for yj, col in zip(y, lp.B):
+        for i, e in col.items():
+            want[i] += e * yj
+    return list(x) == want
 
 
 def enumerate_vertices(lp):
@@ -56,15 +72,15 @@ def enumerate_vertices(lp):
     these points.
     """
     m, N = lp.num_constraints, lp.num_vars
-    A = dense(lp)
-    upper = upper_bounds(lp)
+    full = general(lp)
+    A, upper = full.A, full.upper
     points = []
     for basic in itertools.combinations(range(N), m):
         sub = IntMatrix([[A[i][j] for j in basic] for i in range(m)])
         nonbasic = [j for j in range(N) if j not in basic]
         for assign in itertools.product(*([0] if upper[j] is None else [0, 1]
                                           for j in nonbasic)):
-            rhs = [lp.b[i] - sum(A[i][j] * v for j, v in zip(nonbasic, assign))
+            rhs = [lp.c[i] - sum(A[i][j] * v for j, v in zip(nonbasic, assign))
                    for i in range(m)]
             sol = solve_square(sub, rhs)
             if sol is None:
@@ -81,7 +97,8 @@ def enumerate_vertices(lp):
 
 
 def best_vertex_objective(lp):
-    return min(sum(c * v for c, v in zip(lp.objective, x))
+    cost = general(lp).objective
+    return min(sum(c * v for c, v in zip(cost, x))
                for x in enumerate_vertices(lp))
 
 
@@ -94,52 +111,45 @@ def random_lp(rng):
     box = rng.random() < 0.5
     top = 1 if box else 2
     c = [rng.randint(-top, top) for _ in range(m)]
-    cost = [Fraction(rng.randint(0, 4), 2) for _ in range(2 * m + 2 * n)]
+    cost = [Fraction(rng.randint(0, 4), 2) for _ in range(m + n)]
     return ohcp_lp(B, c, cost, box)
 
 
 class TestBasics:
     def test_pinned_variable(self):
         # the crash basis is the optimum: x^+ for c >= 0, x^- for c < 0
-        for c, x, cost in ((5, [5, 0], 5), (-2, [0, 2], 6)):
-            sol = simplex_solve(ohcp_lp([[]], [c], [1, 3]))
-            assert sol.x == x and sol.objective == cost
-            assert sol.basis == [x.index(abs(c))]
+        for c, basic, cost in ((5, 0, 15), (-2, 1, 6)):
+            sol = simplex_solve(ohcp_lp([[]], [c], [3]))
+            assert (sol.x, sol.y, sol.objective) == ([c], [], cost)
+            assert sol.basis == [basic]
             assert sol.stats["pivots"] == 0
 
     def test_box_vertex(self):
         # x = c + y (1, 1, 1): unboxed, y = -1 gives x = (0, 0, -2), cost 2;
         # boxed, |x_i| <= 1 forces y = 0 and x = c, cost 3
-        B, c, cost = [[1], [1], [1]], [1, 1, -1], [1] * 6 + [0, 0]
+        B, c, cost = [[1], [1], [1]], [1, 1, -1], [1, 1, 1, 0]
         assert simplex_solve(ohcp_lp(B, c, cost)).objective == 2
         sol = simplex_solve(ohcp_lp(B, c, cost, box=True))
-        assert sol.objective == 3 and sol.x[6:] == [0, 0]
+        assert sol.objective == 3 and (sol.x, sol.y) == (c, [0])
 
     def test_exact_rationals(self):
         # x = 1 + 3 y is 0 at y = -1/3
-        sol = simplex_solve(ohcp_lp([[3]], [1], [1, 1, 0, 0]))
-        assert sol.x == [0, 0, 0, Fraction(1, 3)] and sol.objective == 0
+        sol = simplex_solve(ohcp_lp([[3]], [1], [1, 0]))
+        assert (sol.x, sol.y) == ([0], [Fraction(-1, 3)])
+        assert sol.objective == 0
 
     def test_unbounded(self):
         # a negative cost breaks the contract: y^+ improves without limit,
         # and a ratio test with no limit is a bug
-        lp = ohcp_lp([[1]], [0], [0, 0, -1, 0])
+        lp = ohcp_lp([[1]], [0], [0, -1])
         with pytest.raises(AssertionError, match="improving ray"):
-            simplex_solve(lp)
-
-    def test_columns_not_mirrored(self):
-        # the tableau stores one column per x^+/x^- and y^+/y^- pair, so an
-        # A whose x^- column is not minus its x^+ column is refused
-        lp = ohcp_lp([[1]], [1], [1, 1, 0, 0])
-        lp.A[0][1] = 2
-        with pytest.raises(AssertionError, match="twin"):
             simplex_solve(lp)
 
     def test_infeasible(self):
         # a boxed chain entry 2 breaks the contract: the crash basis starts
         # outside the box, and the bounds check refuses the point
         with pytest.raises(AssertionError, match="outside its bounds"):
-            simplex_solve(ohcp_lp([[]], [2], [1, 1], box=True))
+            simplex_solve(ohcp_lp([[]], [2], [1], box=True))
 
 
 class TestAgainstVertexEnumeration:
@@ -149,8 +159,7 @@ class TestAgainstVertexEnumeration:
             lp = random_lp(rng)
             sol = simplex_solve(lp)
             assert sol.objective == best_vertex_objective(lp)
-            for row, rhs in zip(lp.A, lp.b):
-                assert sum(a * sol.x[j] for j, a in row.items()) == rhs
+            assert is_homologous(lp, sol.x, sol.y)
 
 
 class TestIntegrality:
@@ -160,34 +169,36 @@ class TestIntegrality:
         B = boundary_matrix(fixtures.tetrahedron_surface(), 2)
         m, n = len(B), len(B[0])
         c = [(1, -1, 0)[i % 3] for i in range(m)]
-        sol = simplex_solve(ohcp_lp(B, c, [1] * (2 * m) + [0] * (2 * n)))
-        assert all(v.denominator == 1 for v in sol.x)
+        sol = simplex_solve(ohcp_lp(B, c, [1] * m + [0] * n))
+        assert all(v.denominator == 1 for v in sol.x + sol.y)
 
     def test_non_tu_fractional_vertex(self):
-        sol = simplex_solve(ohcp_lp([[2]], [1], [1, 1, 0, 0]))
-        assert not all(v.denominator == 1 for v in sol.x)
+        sol = simplex_solve(ohcp_lp([[2]], [1], [1, 0]))
+        assert not all(v.denominator == 1 for v in sol.x + sol.y)
 
     def test_zero_solution_is_integral(self):
-        sol = simplex_solve(ohcp_lp([[1, 2]], [0], [1, 1, 1, 1, 1, 1]))
-        assert sol.x == [0] * 6
+        sol = simplex_solve(ohcp_lp([[1, 2]], [0], [1, 1, 1]))
+        assert (sol.x, sol.y) == ([0], [0, 0])
 
     def test_result_types(self):
-        # x holds the tableau's exact values, ints where integral and
+        # x and y hold the tableau's exact values, ints where integral and
         # Fractions where not; the objective and the duals are Fractions
         from ohcp.complexes import boundary_matrix
         from ohcp import fixtures
         B = boundary_matrix(fixtures.tetrahedron_surface(), 2)
         m, n = len(B), len(B[0])
         c = [(1, -1, 0)[i % 3] for i in range(m)]
-        cost = [Fraction(1 + i % 3, 3) for i in range(2 * m)] + [0] * (2 * n)
+        cost = [Fraction(1 + i % 3, 3) for i in range(m)] + [0] * n
         for lp, integral in ((ohcp_lp(B, c, cost), True),
-                             (ohcp_lp([[2]], [1], [1, 1, 0, 0]), False)):
+                             (ohcp_lp([[2]], [1], [1, 0]), False)):
             sol = simplex_solve(lp)
-            assert all(type(v) is int or v.denominator != 1 for v in sol.x)
-            assert all(type(v) is int for v in sol.x) == integral
+            xy = sol.x + sol.y
+            assert all(type(v) is int or v.denominator != 1 for v in xy)
+            assert all(type(v) is int for v in xy) == integral
             assert type(sol.objective) is Fraction
-            assert sol.objective == sum(Fraction(f) * Fraction(v)
-                                        for f, v in zip(lp.objective, sol.x))
+            assert sol.objective == sum(
+                Fraction(f) * abs(Fraction(v))
+                for f, v in zip(lp.x_cost + lp.y_cost, xy))
             assert all(type(z) is Fraction for z in sol.duals)
 
 
@@ -235,13 +246,13 @@ FIXTURE_PIVOTS = {
 }
 
 
-def fixture_lps():
-    """(name, OHCP LP) for each bundled fixture complex in each variant:
-    p one below the top dimension, chain entries cycling 1, -1, 0 and
-    weights cycling 1, 2, 3 (the hourglass keeps its own chain and
+def fixture_instances():
+    """(name, OHCP instance) for each bundled fixture complex in each
+    variant: p one below the top dimension, chain entries cycling 1, -1, 0
+    and weights cycling 1, 2, 3 (the hourglass keeps its own chain and
     weights), y-weights cycling 1, 2."""
     from ohcp import fixtures
-    from ohcp.solver import OHCPInstance, assemble
+    from ohcp.solver import OHCPInstance
     for name in sorted({key.rsplit("-", 1)[0] for key in FIXTURE_PIVOTS}):
         if name == "hourglass":
             K, weights, c = fixtures.hourglass()
@@ -259,16 +270,24 @@ def fixture_lps():
                 variant=variant,
                 y_weights=[j % 2 + 1 for j in range(n)]
                 if variant == "TotalWeight" else None)
-            yield f"{name}-{variant}", assemble(inst)
+            yield f"{name}-{variant}", inst
+
+
+def fixture_lps():
+    """(name, OHCP LP) of each of `fixture_instances()`."""
+    from ohcp.solver import assemble
+    for name, inst in fixture_instances():
+        yield name, assemble(inst)
 
 
 def pivot_counts(sol):
     return sol.stats["pivots"], sol.stats["bound_flips"]
 
 
-def same_outcome(a, ref):
+def same_outcome(lp, a, ref):
     return ref.status == "Optimal" and \
-        (a.x, a.basis, a.objective) == (ref.x, ref.basis, ref.objective)
+        ((a.x, a.y), a.basis, a.objective) == \
+        (signed(lp, ref.x), ref.basis, ref.objective)
 
 
 class _CountingStatus(dict):
@@ -319,7 +338,7 @@ def assert_same_path(lp, monkeypatch):
     sol = simplex_solve(lp)
     ref, (phase1, phase2, flips) = reference_path(lp, monkeypatch)
     assert phase1 == lp.num_constraints
-    assert same_outcome(sol, ref)
+    assert same_outcome(lp, sol, ref)
     assert pivot_counts(sol) == (phase2, flips)
     return sol
 
@@ -333,7 +352,7 @@ class TestPivotPath:
     def test_bound_flip_counted(self, monkeypatch):
         # the two-phase reference takes 3 + 4 pivots and one bound flip
         B = [[-2, -1, -1], [2, 1, 2], [-1, -1, -1]]
-        lp = ohcp_lp(B, [1, 1, -1], [1] * 6 + [0] * 6, box=True)
+        lp = ohcp_lp(B, [1, 1, -1], [1] * 3 + [0] * 3, box=True)
         assert pivot_counts(assert_same_path(lp, monkeypatch)) == (4, 1)
 
     def test_fixture_lps_match_dense_reference(self, monkeypatch):
@@ -357,7 +376,7 @@ def ohcp_lps(draw):
     box = draw(st.booleans())
     top = 1 if box else 2
     c = [draw(st.integers(-top, top)) for _ in range(m)]
-    cost = [draw(_COSTS) for _ in range(2 * m + 2 * n)]
+    cost = [draw(_COSTS) for _ in range(m + n)]
     return ohcp_lp(B, c, cost, box)
 
 
@@ -375,7 +394,7 @@ class TestDualCertificate:
     def test_early_stop_fails_the_certificate(self, monkeypatch):
         # the crash basis x = c = 1 is feasible but not optimal (y = -1
         # gives x = 0); a pricing that finds no entering column stops there
-        lp = ohcp_lp([[1]], [1], [1, 1, 0, 0])
+        lp = ohcp_lp([[1]], [1], [1, 0])
         assert simplex_solve(lp).objective == 0
         monkeypatch.setattr(lp_module, "_bland", lambda *args: None)
         with pytest.raises(AssertionError, match="dual certificate"):
@@ -390,12 +409,13 @@ class TestDualCertificate:
         sol = simplex_solve(lp)
         y = sol.duals
         assert len(y) == lp.num_constraints
-        r = list(lp.objective)
-        for row, yi in zip(lp.A, y):
-            for j, a in row.items():
+        full = general(lp)
+        r = list(full.objective)
+        for row, yi in zip(full.A, y):
+            for j, a in enumerate(row):
                 r[j] -= a * yi
-        bound = sum(yi * ci for yi, ci in zip(y, lp.b))
-        for rj, up in zip(r, upper_bounds(lp)):
+        bound = sum(yi * ci for yi, ci in zip(y, lp.c))
+        for rj, up in zip(r, full.upper):
             if rj < 0:
                 assert up is not None
                 bound += rj * up
@@ -459,7 +479,7 @@ class TestIntegerTableau:
         fractional = 0
         for lp in random_non_tu_lps(random.Random(20261018), 8):
             sol = assert_same_path(lp, monkeypatch)
-            fractional += any(v.denominator != 1 for v in sol.x)
+            fractional += any(v.denominator != 1 for v in sol.x + sol.y)
         assert fractional
         # D reaches 2; some pivots rescale the rows outside column j, and
         # some have |p| = D >= 2, which changes row r's support only
@@ -493,8 +513,8 @@ class TestBasisDeterminant:
         for name, lp in fixture_lps():
             sol = simplex_solve(lp)
             det = sol.stats["basis_det"]
-            assert all(det % v.denominator == 0 for v in sol.x), name
-            if any(v.denominator != 1 for v in sol.x):
+            assert all(det % v.denominator == 0 for v in sol.x + sol.y), name
+            if any(v.denominator != 1 for v in sol.x + sol.y):
                 fractional.append(name)
                 assert det >= 2, name
         assert fractional
@@ -521,6 +541,6 @@ class TestBasisDeterminant:
     def test_small_cases(self):
         # no pivot leaves the crash basis's D = 1; x - 2 y = 1 ends on the
         # basis (2) of y^- = 1/2
-        for lp, det in ((ohcp_lp([[]], [5], [1, 1]), 1),
-                        (ohcp_lp([[2]], [1], [1, 1, 0, 0]), 2)):
+        for lp, det in ((ohcp_lp([[]], [5], [1]), 1),
+                        (ohcp_lp([[2]], [1], [1, 0]), 2)):
             assert simplex_solve(lp).stats["basis_det"] == det

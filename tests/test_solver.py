@@ -1,4 +1,5 @@
 """OHCP assembly, exact solve, its dual certificate, and oracle agreement."""
+import copy
 import random
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from brute_force_oracle import brute_force_oracle
 from helpers import IntMatrix, matvec
 from ohcp import fixtures, solver
-from ohcp.complexes import boundary_matrix, build_closure
+from ohcp.complexes import InputError, boundary_matrix, build_closure
 from ohcp.lp import LPSolution
 from ohcp.solver import OHCPInstance, assemble, solve
 from ohcp.tu import BudgetExceeded
@@ -38,30 +39,28 @@ class TestAssembly:
         assert lp.num_vars == 2 * 12 + 2 * 6
         assert lp.num_constraints == 12
 
-    def test_rows_are_the_split_boundary(self):
-        # row i reads x_i^+ - x_i^- - (B y^+)_i + (B y^-)_i = c_i, and the
-        # input chain itself (y = 0) is a feasible point
+    def test_lp_is_the_cached_boundary_and_the_weights(self):
+        # B is the complex's cached sparse boundary itself, not a copy; the
+        # costs are one |weight| per simplex, and y is free unless paid for
         K = fixtures.mobius_strip()
-        c = [(1, -1, 0)[i % 3] for i in range(K.count(1))]
-        lp = assemble(l1_instance(K, c))
-        B = IntMatrix(boundary_matrix(K, 2))
-        m, n = B.m, B.n
-        for i, row in enumerate(lp.A):
-            want = {i: 1, m + i: -1}
-            for j in range(n):
-                if B[i, j]:
-                    want[2 * m + j] = -B[i, j]
-                    want[2 * m + n + j] = B[i, j]
-            assert row == want
-        point = ([max(v, 0) for v in c] + [max(-v, 0) for v in c]
-                 + [0] * (2 * n))
-        for row, rhs in zip(lp.A, lp.b):
-            assert sum(a * point[j] for j, a in row.items()) == rhs
+        m, n = K.count(1), K.count(2)
+        c = [(1, -1, 0)[i % 3] for i in range(m)]
+        w = [Fraction((-1) ** i * (i % 4 + 1), 3) for i in range(m)]
+        lp = assemble(l1_instance(K, c, weights=w))
+        assert lp.B is K.boundary_columns(2)
+        assert lp.c == c
+        assert lp.x_cost == [abs(wi) for wi in w]
+        assert lp.y_cost == [0] * n
+        v = [Fraction(-j - 1, 2) for j in range(n)]
+        lp = assemble(l1_instance(K, c, weights=w, variant="TotalWeight",
+                                  y_weights=v))
+        assert lp.B is K.boundary_columns(2)
+        assert lp.y_cost == [abs(vj) for vj in v]
 
     def test_zero_chain_gives_zero_rhs(self):
         K = fixtures.triangle()
         lp = assemble(l1_instance(K, [0, 0, 0]))
-        assert all(v == 0 for v in lp.b)
+        assert all(v == 0 for v in lp.c)
 
     def test_l0_box_adds_bounds(self):
         K = fixtures.triangle()
@@ -74,19 +73,27 @@ class TestAssembly:
         with pytest.raises(ValueError):
             l1_instance(K, [2, 0, 0], variant="L0Box")
 
+    def test_invalid_instance_is_an_input_error(self):
+        # the CLI prints the message of an InputError as it stands
+        K = fixtures.triangle()
+        with pytest.raises(InputError, match=r"^L0Box requires chain "):
+            l1_instance(K, [2, 0, 0], variant="L0Box")
+        with pytest.raises(InputError, match=r"^chain length 2 != 3 "):
+            l1_instance(K, [1, 0])
+
     def test_total_weight_prices_y(self):
         K = fixtures.triangle()
         inst = l1_instance(K, [1, -1, 1], variant="TotalWeight",
                            y_weights=[Fraction(7)])
         lp = assemble(inst)
-        assert lp.objective[-2:] == [7, 7]
+        assert lp.y_cost == [7]
 
     def test_total_weight_zero_y_cost_matches_l1(self):
         K = fixtures.triangle()
         a = assemble(l1_instance(K, [1, 0, 0], variant="TotalWeight",
                                  y_weights=[0]))
         b = assemble(l1_instance(K, [1, 0, 0]))
-        assert a.objective == b.objective and a.A == b.A
+        assert (a.B, a.c, a.x_cost, a.y_cost) == (b.B, b.c, b.x_cost, b.y_cost)
 
 
 class TestSolve:
@@ -135,8 +142,7 @@ class TestSolve:
                                                            monkeypatch):
         # a "solver" that returns x = c but y = 1, so x != c + B y
         K = fixtures.triangle()
-        point = [Fraction(v) for v in [1, 0, 0] + [0, 0, 0] + [1] + [0]]
-        bad = LPSolution(x=point, objective=Fraction(1))
+        bad = LPSolution(x=[1, 0, 0], y=[1], objective=Fraction(1))
         monkeypatch.setattr(solver, "simplex_solve", lambda lp: bad)
         with pytest.raises(AssertionError, match="x = c"):
             solve(l1_instance(K, [1, 0, 0]))
@@ -147,6 +153,25 @@ class TestSolve:
         sol = solve(inst)
         assert sol.x_star == [-2] and sol.y_witness == []
         assert sol.objective == 6
+
+
+class TestSharedBoundary:
+    def test_solve_leaves_the_cached_boundary_alone(self):
+        # the LP reads the complex's cached columns of B themselves, which
+        # no caller may modify; x_star and y_witness are ints exactly when
+        # the optimum is integral
+        from test_lp import fixture_instances
+        integral = set()
+        for name, inst in fixture_instances():
+            K = inst.K
+            before = {q: copy.deepcopy(K.boundary_columns(q))
+                      for q in range(1, K.dim + 1)}
+            sol = solve(inst)
+            assert {q: K.boundary_columns(q) for q in before} == before, name
+            xy = sol.x_star + sol.y_witness
+            assert all(type(v) is int for v in xy) == sol.integral, name
+            integral.add(sol.integral)
+        assert integral == {True, False}
 
 
 class TestOracle:
