@@ -117,10 +117,9 @@ def boundary_matrix(K: SimplicialComplex, q: int):
     return data
 
 
-def boundary_submatrix(K: SimplicialComplex, q: int, rows, cols):
-    """Sparse rows of the q-boundary cut to `rows` x `cols`, in that order;
-    column b of the result is the simplex cols[b]."""
-    B = K.boundary_columns(q)
+def boundary_submatrix(B, rows, cols):
+    """Sparse rows of the matrix with the sparse columns `B` cut to `rows` x
+    `cols`, in that order; column b of the result is column cols[b]."""
     at = {i: a for a, i in enumerate(rows)}
     out = [{} for _ in at]
     for b, j in enumerate(cols):
@@ -148,7 +147,7 @@ def relative_boundary_matrix(K: SimplicialComplex, p: int, L_cols, L0_rows):
         if not 0 <= i < K.count(p):
             raise InputError(f"row index {i} out of range")
     kept = sorted({i for j in cols for i in B[j]} - rows0)
-    return boundary_submatrix(K, p + 1, kept, cols), kept, cols
+    return boundary_submatrix(B, kept, cols), kept, cols
 
 
 def coface_map(K: SimplicialComplex, q: int):

@@ -153,6 +153,8 @@ def solution_summary(sol) -> str:
         "nnz": sum(1 for v in sol.x_star if v != 0),
         "y_support": [j for j, v in enumerate(sol.y_witness) if v != 0],
     }
-    if sol.torsion_note:
-        doc["note"] = sol.torsion_note
+    if not sol.integral:
+        doc["note"] = ("optimum is fractional; the boundary matrix is not "
+                       "totally unimodular -- run a torsion scan for a "
+                       "witness")
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -33,12 +33,14 @@ class OHCPInstance:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InputError(f"unknown variant {self.variant!r}")
-        m = self.K.count(self.p)
-        n = self.K.count(self.p + 1)
-        if len(self.c) != m:
-            raise InputError(f"chain length {len(self.c)} != {m} p-simplices")
-        if len(self.weights) != m:
-            raise InputError(f"weight length {len(self.weights)} != {m}")
+        if not 0 <= self.p <= self.K.dim:
+            raise InputError(f"dimension {self.p} out of range "
+                             f"0..{self.K.dim}")
+        if len(self.c) != self.m:
+            raise InputError(f"chain length {len(self.c)} != {self.m} "
+                             "p-simplices")
+        if len(self.weights) != self.m:
+            raise InputError(f"weight length {len(self.weights)} != {self.m}")
         self.c = [int(v) for v in self.c]
         self.weights = [Fraction(w) for w in self.weights]
         if self.variant == "L0Box":
@@ -47,9 +49,9 @@ class OHCPInstance:
             if any(abs(w) != 1 for w in self.weights):
                 raise InputError("L0Box requires identity weights")
         if self.variant == "TotalWeight":
-            if self.y_weights is None or len(self.y_weights) != n:
+            if self.y_weights is None or len(self.y_weights) != self.n:
                 raise InputError("TotalWeight requires y-weights of length "
-                                 f"{n}")
+                                 f"{self.n}")
             self.y_weights = [Fraction(w) for w in self.y_weights]
 
     @property
@@ -68,7 +70,6 @@ class OHCPSolution:
     objective: Fraction
     integral: bool
     variant: str
-    torsion_note: str = None
     dual: list = None          # z, one rational per p-simplex; see solve
 
 
@@ -85,10 +86,12 @@ def assemble(inst: OHCPInstance) -> LinearProgram:
 
 
 def solve(inst: OHCPInstance) -> OHCPSolution:
-    """Assemble the chosen variant, solve exactly, re-check x = c + B y.
+    """Assemble the chosen variant and solve it exactly. `simplex_solve`
+    checks x = c + B y, the bounds and the dual certificate in the ints of
+    its final tableau before it returns, so no check is repeated here.
 
     Non-integral vertices (possible only over non-TU boundary matrices) are
-    returned as-is with integral=False and a note; they are never rounded.
+    returned as-is with integral=False; they are never rounded.
 
     `dual` is z, the LP's row duals, which prove the objective optimal:
     |z_i| <= |w_i| (L1, TotalWeight), B'z = 0 (L1, L0Box) or
@@ -97,19 +100,7 @@ def solve(inst: OHCPInstance) -> OHCPSolution:
     """
     lp = assemble(inst)
     sol = simplex_solve(lp)
-    x, y = sol.x, sol.y
-    c_by = list(inst.c)
-    for yj, col in zip(y, lp.B):
-        if yj:
-            for i, e in col.items():
-                c_by[i] += e * yj
-    if x != c_by:
-        raise AssertionError("reconstructed chain violates x = c + B y")
-    integral = all(v.denominator == 1 for v in x + y)
-    note = None
-    if not integral:
-        note = ("optimum is fractional; the boundary matrix is not totally "
-                "unimodular -- run a torsion scan for a witness")
-    return OHCPSolution(x_star=x, y_witness=y, objective=sol.objective,
-                        integral=integral, variant=inst.variant,
-                        torsion_note=note, dual=sol.duals)
+    integral = all(v.denominator == 1 for v in sol.x + sol.y)
+    return OHCPSolution(x_star=sol.x, y_witness=sol.y,
+                        objective=sol.objective, integral=integral,
+                        variant=inst.variant, dual=sol.duals)

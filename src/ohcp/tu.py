@@ -11,13 +11,18 @@ Three routes are implemented and cross-checked by the test suite:
     its partition is a consistent orientation (complexes.orient_consistently);
   * a search for non-orientable cycle complexes, whose relative boundary
     matrices are Moebius cycle matrices of determinant +-2.
+
+Both routes that answer NotTU name a minor of the boundary matrix, and
+_verify_witness recomputes its determinant from the sparse columns before
+the verdict is returned.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .complexes import (InputError, NotPseudomanifold, SimplicialComplex,
-                        boundary_submatrix, orient_consistently,
+                        boundary_submatrix, coface_map, orient_consistently,
                         parity_coloring)
 from .matrices import det_int
 
@@ -47,8 +52,9 @@ class CycleComplexWitness:
 
 
 def _verify_witness(cols, rows_w, cols_w):
-    d = det_int([{b: cols[j][i] for b, j in enumerate(cols_w) if i in cols[j]}
-                 for i in rows_w], len(cols_w))
+    """det of the minor `rows_w` x `cols_w` of the sparse columns `cols`;
+    AssertionError, under python -O too, unless |det| >= 2."""
+    d = det_int(boundary_submatrix(cols, rows_w, cols_w), len(cols_w))
     if abs(d) < 2:
         raise AssertionError(f"witness re-verification failed: det={d}")
     return d
@@ -201,8 +207,9 @@ def find_mobius_subcomplex(K: SimplicialComplex, q: int,
     the signed graph is balanced (Harary 1953), no cycle has product -1.
     Three cofaces of one face close a triangle of product -1, so the graph
     is balanced exactly when no face has three cofaces and one
-    parity_coloring over the coface rows succeeds: when the complex is an
-    orientable pseudomanifold.
+    parity_coloring over the rows of coface_map succeeds: when the complex
+    is an orientable pseudomanifold. The signed graph is read off the same
+    rows.
 
     Otherwise the DFS carries the sign product of its path and prunes it.
     It tests a path of three members when it first reaches it, and a path
@@ -230,21 +237,17 @@ def find_mobius_subcomplex(K: SimplicialComplex, q: int,
     if q == 1:
         return None
     n = len(B)
-    # adj[a]: (b, sign, face) for each simplex b sharing a (q-1)-face with
-    # a, paired through the cofaces of the face
-    adj = [[] for _ in range(n)]
-    cofaces = [[] for _ in range(K.count(q - 1))]
-    for b, col in enumerate(B):
-        for f, e in col.items():
-            for a in cofaces[f]:
-                adj[a].append((b, -B[a][f] * e, f))
-                adj[b].append((a, -B[a][f] * e, f))
-            cofaces[f].append(b)
+    cofaces = coface_map(K, q)
     # three cofaces of one face close a triangle of product -1
     if all(len(c) <= 2 for c in cofaces) and parity_coloring(
-            [{a: B[a][f] for a in c} for f, c in enumerate(cofaces)],
-            n) is not None:
+            cofaces, n) is not None:
         return None
+    # adj[a]: (b, sign, face) for each simplex b sharing a (q-1)-face with a
+    adj = [[] for _ in range(n)]
+    for f, c in enumerate(cofaces):
+        for a, b in itertools.combinations(c, 2):
+            adj[a].append((b, -c[a] * c[b], f))
+            adj[b].append((a, -c[a] * c[b], f))
     for nbrs in adj:
         nbrs.sort()
 
@@ -340,14 +343,6 @@ def find_mobius_subcomplex(K: SimplicialComplex, q: int,
     return None
 
 
-def mcm_witness_from_cycle(K: SimplicialComplex, w: CycleComplexWitness):
-    """Rows/cols of the boundary matrix carved out by a Moebius complex."""
-    rows = sorted(w.shared_faces)
-    cols = sorted(w.simplices)
-    d = det_int(boundary_submatrix(K, w.q, rows, cols), len(cols))
-    return rows, cols, d
-
-
 def mobius_verdict(K: SimplicialComplex, q: int, budget: int) -> TUVerdict:
     """The Moebius route: NotTU with the minor carved out by the first
     Moebius complex of q-simplices, else TU, which is conclusive only for
@@ -358,9 +353,9 @@ def mobius_verdict(K: SimplicialComplex, q: int, budget: int) -> TUVerdict:
             raise Undecided("no Moebius subcomplex found, but absence is "
                             f"not conclusive for p = {q - 1} > 1")
         return TUVerdict("TU", "mobius-search")
-    rows, cols, d = mcm_witness_from_cycle(K, w)
-    if abs(d) < 2:
-        raise AssertionError(f"Moebius witness re-verification: det={d}")
+    rows = sorted(w.shared_faces)
+    cols = sorted(w.simplices)
+    d = _verify_witness(K.boundary_columns(q), rows, cols)
     return TUVerdict("NotTU", "mobius-search", rows, cols, d)
 
 

@@ -23,6 +23,8 @@ def paths(tmp_path):
     out["triangle"].write_text("0 1 2\n")
     out["chain"] = tmp_path / "c.chn"
     out["chain"].write_text("1 0 1\n1 1 2\n-1 0 2\n")
+    out["empty"] = tmp_path / "empty.chn"
+    out["empty"].write_text("")
     out["tmp"] = tmp_path
     return out
 
@@ -170,12 +172,17 @@ class TestSolvePipeline:
         ("tu", "--dim", "3"),
         ("tu", "--dim", "3", "--method", "mobius"),
         ("torsion-scan", "--dim", "3"),
+        ("solve", "--dim", "3", "--chain", "empty"),
+        ("solve", "--dim", "-1", "--chain", "empty"),
     ], ids=" ".join)
     def test_out_of_range_exit_code(self, paths, capsys, argv):
+        # a key of `paths` stands for its file
         code, _, err = run(capsys, argv[0], "--complex", paths["triangle"],
-                           *argv[1:])
+                           *(paths.get(a, a) for a in argv[1:]))
         assert code == 4
         assert err.startswith("error: ")
+        if argv[0] in ("homology", "solve"):
+            assert err == f"error: dimension {argv[2]} out of range 0..2\n"
 
     @pytest.mark.parametrize("argv", [
         ("tu", "--dim", "1", "--budget", "-1"),

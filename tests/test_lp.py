@@ -151,6 +151,19 @@ class TestBasics:
         with pytest.raises(AssertionError, match="outside its bounds"):
             simplex_solve(ohcp_lp([[]], [2], [1], box=True))
 
+    def test_point_off_the_homology_identity_is_rejected(self, monkeypatch):
+        # the final point with y^- moved by one, so that x != c + B y: the
+        # only check of that identity on the solve path refuses it
+        scaled_point = lp_module._Tableau.scaled_point
+
+        def shifted(tab):
+            point = scaled_point(tab)
+            point[-1] += 1
+            return point
+        monkeypatch.setattr(lp_module._Tableau, "scaled_point", shifted)
+        with pytest.raises(AssertionError, match="A x != c"):
+            simplex_solve(ohcp_lp([[1], [1], [1]], [1, 1, -1], [1, 1, 1, 0]))
+
 
 class TestAgainstVertexEnumeration:
     def test_fifty_random_lps(self):

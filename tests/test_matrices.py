@@ -106,7 +106,7 @@ class TestSubmatrixAndScaling:
         # the edges of the triangle are (0,1), (0,2), (1,2); row a of the
         # cut is vertex rows[a] and column b is edge cols[b]
         K = fixtures.triangle()
-        S = boundary_submatrix(K, 1, [2, 0], [2, 1, 0])
+        S = boundary_submatrix(K.boundary_columns(1), [2, 0], [2, 1, 0])
         assert S == [{0: 1, 1: 1}, {1: -1, 2: -1}]
 
     def test_sign_scaling_preserves_abs_det(self):

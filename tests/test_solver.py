@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from brute_force_oracle import brute_force_oracle
 from helpers import IntMatrix, matvec
-from ohcp import fixtures, solver
+from ohcp import fixtures
 from ohcp.complexes import InputError, boundary_matrix, build_closure
-from ohcp.lp import LPSolution
 from ohcp.solver import OHCPInstance, assemble, solve
 from ohcp.tu import BudgetExceeded
 
@@ -137,15 +136,6 @@ class TestSolve:
         scaled = solve(l1_instance(K, c,
                                    weights=[Fraction(5, 3) * wi for wi in w]))
         assert scaled.objective == Fraction(5, 3) * base
-
-    def test_point_violating_homology_identity_is_rejected(self,
-                                                           monkeypatch):
-        # a "solver" that returns x = c but y = 1, so x != c + B y
-        K = fixtures.triangle()
-        bad = LPSolution(x=[1, 0, 0], y=[1], objective=Fraction(1))
-        monkeypatch.setattr(solver, "simplex_solve", lambda lp: bad)
-        with pytest.raises(AssertionError, match="x = c"):
-            solve(l1_instance(K, [1, 0, 0]))
 
     def test_top_dimension_chain_is_its_own_optimum(self):
         K = fixtures.triangle()

@@ -17,8 +17,7 @@ from helpers import MOEBIUS_B2, PROJECTIVE_PLANE_B2, IntMatrix, det, identity
 from ohcp import fixtures
 from ohcp.complexes import boundary_matrix, build_closure
 from ohcp.tu import (Undecided, find_mobius_subcomplex,
-                     is_tu_minor_enumeration, mcm_witness_from_cycle,
-                     tu_verdict)
+                     is_tu_minor_enumeration, mobius_verdict, tu_verdict)
 
 
 def exhaustive_tu(M):
@@ -163,23 +162,24 @@ class TestMobiusSearch:
         assert find_mobius_subcomplex(fixtures.seven_tetrahedra(), 3) is None
 
     def test_mcm_witness_has_det_two(self):
-        K = fixtures.mobius_strip()
-        w = find_mobius_subcomplex(K, 2)
-        _, _, d = mcm_witness_from_cycle(K, w)
-        assert abs(d) == 2
+        v = mobius_verdict(fixtures.mobius_strip(), 2, 10 ** 6)
+        assert abs(v.witness_det) == 2
 
     def test_witness_check_survives_optimised_mode(self):
         # python -O strips assert statements; with det_int faked to 1 the
-        # Moebius route must still refuse its witness
+        # Moebius route and the minors route must still refuse their
+        # witness, which both check in one place
         src = os.path.dirname(os.path.dirname(ohcp.__file__))
-        check = ("from ohcp import fixtures, tu; "
-                 "tu.det_int = lambda rows, n: 1; "
-                 "print(tu.mobius_verdict(fixtures.mobius_strip(), 2, 10**6))")
-        proc = subprocess.run([sys.executable, "-O", "-c", check],
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode != 0 and proc.stdout == ""
-        assert "AssertionError" in proc.stderr
+        for route in ("tu.mobius_verdict(fixtures.mobius_strip(), 2, 10**6)",
+                      "tu.is_tu_minor_enumeration("
+                      "fixtures.mobius_strip().boundary_columns(2))"):
+            check = ("from ohcp import fixtures, tu; "
+                     f"tu.det_int = lambda rows, n: 1; print({route})")
+            proc = subprocess.run([sys.executable, "-O", "-c", check],
+                                  env=dict(os.environ, PYTHONPATH=src),
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode != 0 and proc.stdout == "", route
+            assert "AssertionError" in proc.stderr, route
 
     def test_found_cycle_submatrix_is_an_mcm(self):
         K = fixtures.projective_plane()
