@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_NONINTEGRAL = 3
 EXIT_PARSE = 4
 EXIT_UNDECIDED = 5
+_parser = None          # built by main's first call, not at import
 
 
 def _read(path):
@@ -213,7 +214,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         for flag in ("col_cap", "budget"):
             if getattr(args, flag, 0) < 0:

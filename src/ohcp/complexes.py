@@ -69,6 +69,8 @@ class SimplicialComplex:
         built once per q and shared: column j is {row: +-1} for the j-th
         q-simplex, rows ascending. Callers must not modify it."""
         if not 1 <= q <= self.dim:
+            if self.dim < 1:
+                raise InputError("complex has no 1-simplices")
             raise InputError(f"dimension {q} out of range 1..{self.dim}")
         cols = self._boundary.get(q)
         if cols is None:

@@ -27,6 +27,8 @@ def homology_summary(K: SimplicialComplex, p: int):
     q-boundary are the rows of its transpose, which has the same invariant
     factors; their Smith normal form consumes copies of them."""
     if not 0 <= p <= K.dim:
+        if K.dim < 0:
+            raise InputError(f"complex has no {p}-simplices")
         raise InputError(f"dimension {p} out of range 0..{K.dim}")
     rank_dp, up = 0, []
     if p >= 1:

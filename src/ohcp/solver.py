@@ -34,6 +34,8 @@ class OHCPInstance:
         if self.variant not in VARIANTS:
             raise InputError(f"unknown variant {self.variant!r}")
         if not 0 <= self.p <= self.K.dim:
+            if self.K.dim < 0:
+                raise InputError(f"complex has no {self.p}-simplices")
             raise InputError(f"dimension {self.p} out of range "
                              f"0..{self.K.dim}")
         if len(self.c) != self.m:

@@ -174,14 +174,24 @@ class TestSolvePipeline:
         ("torsion-scan", "--dim", "3"),
         ("solve", "--dim", "3", "--chain", "empty"),
         ("solve", "--dim", "-1", "--chain", "empty"),
+        # an empty complex has no range to name
+        ("homology", "--dim", "0", "--complex", "empty"),
+        ("homology", "--dim", "1", "--complex", "empty"),
+        ("solve", "--dim", "0", "--chain", "empty", "--complex", "empty"),
+        ("boundary", "--dim", "1", "--complex", "empty"),
+        ("mobius-scan", "--dim", "1", "--complex", "empty"),
     ], ids=" ".join)
     def test_out_of_range_exit_code(self, paths, capsys, argv):
-        # a key of `paths` stands for its file
+        # a key of `paths` stands for its file; the complex is the triangle
+        # unless argv names one, which argparse reads last
         code, _, err = run(capsys, argv[0], "--complex", paths["triangle"],
                            *(paths.get(a, a) for a in argv[1:]))
         assert code == 4
         assert err.startswith("error: ")
-        if argv[0] in ("homology", "solve"):
+        if "--complex" in argv:
+            q = argv[2] if argv[0] in ("homology", "solve") else 1
+            assert err == f"error: complex has no {q}-simplices\n"
+        elif argv[0] in ("homology", "solve"):
             assert err == f"error: dimension {argv[2]} out of range 0..2\n"
 
     @pytest.mark.parametrize("argv", [
@@ -289,6 +299,51 @@ class TestSolvePipeline:
                               capture_output=True, text=True, timeout=5)
         assert (done.returncode, done.stdout) == (4, "")
         assert done.stderr.startswith("error: ")
+
+
+def test_reused_parser_carries_nothing_between_calls(paths, capsys,
+                                                     monkeypatch):
+    # main keeps one parser for the process; each call must still read as
+    # a fresh `python -m ohcp.cli` run of the same argv
+    monkeypatch.setenv("COLUMNS", "80")     # --help wraps at this width
+    wts = paths["tmp"] / "w.wts"
+    wts.write_text("2 0 1\n1/2 1 2\n3 0 2\n")
+    y_wts = paths["tmp"] / "y.wts"
+    y_wts.write_text("5 0 1 2\n")
+    out = paths["tmp"] / "sol"
+    outs = [out.with_suffix(".json"), out.with_suffix(".chn")]
+    solve = ["solve", "--complex", paths["triangle"], "--chain",
+             paths["chain"], "--dim", "1"]
+    tu = ["tu", "--complex", paths["moebius"], "--dim", "1"]
+    argvs = [solve + ["--weights", wts, "--variant", "total",
+                      "--y-weights", y_wts, "--out", out],
+             solve,
+             tu + ["--method", "mobius", "--budget", "0"],
+             tu,
+             ["solve", "--help"],
+             ["mobius-scan", "--complex", paths["moebius"], "--dim", "2",
+              "--col-cap", "3"]]
+    got = []
+    for argv in argvs:
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        got.append((code, *capsys.readouterr()))
+        if argv is argvs[0]:
+            assert all(p.exists() for p in outs)
+            for p in outs:
+                p.unlink()
+    assert not any(p.exists() for p in outs)
+    assert [g[0] for g in got] == [0, 0, 5, 0, 0, 2]
+    assert got[2][2] == "undecided: cycle search exceeded budget 0\n"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(ohcp.__file__)))
+    for argv, want in zip(argvs, got):
+        done = subprocess.run([sys.executable, "-m", "ohcp.cli",
+                               *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert (done.returncode, done.stdout, done.stderr) == want, argv
 
 
 class TestSparseCascade:
