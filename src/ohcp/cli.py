@@ -47,8 +47,10 @@ def _write(path, text):
         raise InputError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _load_complex(args):
-    return fileio.parse_complex(_read(args.complex))
+def _load_complex(args, above=1):
+    # no command reads a level above --dim + 1; stopping the closure there
+    # keeps a simplex of many vertices from building all its faces
+    return fileio.parse_complex(_read(args.complex), args.dim + above)
 
 
 def _emit(doc):
@@ -56,7 +58,7 @@ def _emit(doc):
 
 
 def cmd_boundary(args):
-    K = _load_complex(args)
+    K = _load_complex(args, 0)
     rows = boundary_matrix(K, args.dim)
     lines = [f"{len(rows)} {K.count(args.dim)}"]
     lines += [" ".join(map(str, row)) for row in rows]
@@ -96,7 +98,7 @@ def cmd_tu(args):
 
 
 def cmd_mobius_scan(args):
-    K = _load_complex(args)
+    K = _load_complex(args, 0)
     w = find_mobius_subcomplex(K, args.dim, budget=args.budget)
     if w is None:
         _emit({"found": False})
@@ -176,7 +178,7 @@ def build_parser():
 
     def add(name, fn, **flags):
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, parser=p)
         if flags.get("complex"):
             p.add_argument("--complex", required=True, metavar="K.scx")
         if flags.get("dim"):
@@ -189,8 +191,7 @@ def build_parser():
 
     add("boundary", cmd_boundary, complex=True, dim=True)
 
-    p = sub.add_parser("snf")
-    p.set_defaults(fn=cmd_snf)
+    p = add("snf", cmd_snf)
     p.add_argument("--matrix", required=True, metavar="M.mat")
 
     p = add("tu", cmd_tu, complex=True, dim=True, col_cap=True, budget=True)
@@ -217,7 +218,9 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args, extra = _parser.parse_known_args(argv)
+    if extra:   # what parse_args says, with the subcommand's own usage
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         for flag in ("col_cap", "budget"):
             if getattr(args, flag, 0) < 0:

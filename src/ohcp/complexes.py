@@ -22,33 +22,40 @@ class NotPseudomanifold(ValueError):
     """Some (q-1)-simplex is a face of three or more q-simplices."""
 
 
+def ascending(vertices):
+    """The ascending tuple of the vertex ids `vertices`, which must be
+    non-negative and distinct; an error names them in input order."""
+    verts = tuple(map(int, vertices))
+    ordered = tuple(sorted(verts))
+    if ordered and ordered[0] < 0:
+        raise InputError(f"negative vertex id in {verts}")
+    if len(set(verts)) != len(verts):
+        raise InputError(f"duplicate vertices in simplex {verts}")
+    return ordered
+
+
 def canonical(vertices):
     """(ascending vertex tuple, sign of the permutation sorting `vertices`):
     the canonical simplex and the input ordering's orientation relative to
     it."""
-    verts = tuple(int(v) for v in vertices)
-    if any(v < 0 for v in verts):
-        raise InputError(f"negative vertex id in {verts}")
-    if len(set(verts)) != len(verts):
-        raise InputError(f"duplicate vertices in simplex {verts}")
+    verts = tuple(map(int, vertices))
     order = sorted(range(len(verts)), key=verts.__getitem__)
-    return tuple(verts[i] for i in order), permutation_sign(order)
+    return ascending(verts), permutation_sign(order)
 
 
 class SimplicialComplex:
     """Face-closed complex with deterministic per-dimension bases."""
 
-    def __init__(self, simplices_by_dim):
-        # simplices_by_dim: list over q of sorted lists of vertex tuples
+    def __init__(self, simplices_by_dim, dim=None):
+        # simplices_by_dim: list over q of sorted lists of vertex tuples, the
+        # levels 0..top built; dim, the true dimension, may exceed top, and
+        # reading a level above top raises IndexError
         self.simplices_by_dim = [list(level) for level in simplices_by_dim]
+        self.dim = len(self.simplices_by_dim) - 1 if dim is None else dim
         self.index = [
             {s: i for i, s in enumerate(level)} for level in self.simplices_by_dim
         ]
         self._boundary = {}     # q -> boundary_columns(q)
-
-    @property
-    def dim(self) -> int:
-        return len(self.simplices_by_dim) - 1
 
     def simplices(self, q):
         if q < 0 or q > self.dim:
@@ -74,10 +81,11 @@ class SimplicialComplex:
             raise InputError(f"dimension {q} out of range 1..{self.dim}")
         cols = self._boundary.get(q)
         if cols is None:
-            # face i of a simplex drops vertex i and has sign (-1)**i
-            cols = [dict(sorted(
-                        (self.index_of(q - 1, verts[:i] + verts[i + 1:]),
-                         (-1) ** i) for i in range(len(verts))))
+            # face i of a simplex drops vertex i and has sign (-1)**i; the
+            # faces for i = q, ..., 0 ascend, and so do their rows
+            rows = self.index[q - 1]
+            signs = [(i, (-1) ** i) for i in range(q, -1, -1)]
+            cols = [{rows[verts[:i] + verts[i + 1:]]: s for i, s in signs}
                     for verts in self.simplices_by_dim[q]]
             self._boundary[q] = cols
         return cols
@@ -87,21 +95,21 @@ class SimplicialComplex:
         return f"SimplicialComplex(dim={self.dim}, counts=[{counts}])"
 
 
-def build_closure(maximal) -> SimplicialComplex:
+def build_closure(maximal, top=None) -> SimplicialComplex:
     """Close a set of simplices under taking faces.
 
     `maximal` is an iterable of vertex sequences; each adds every one of
-    its faces, level by level. The empty input yields the empty complex of
-    dimension -1.
+    its faces. Only the levels up to `top` (all when None) are built, and
+    `dim` stays the true dimension. The empty input yields the empty
+    complex of dimension -1.
     """
-    levels = []
-    for verts in maximal:
-        verts = canonical(verts)[0]
-        while len(levels) < len(verts):
-            levels.append(set())
-        for q in range(len(verts)):
-            levels[q].update(itertools.combinations(verts, q + 1))
-    return SimplicialComplex([sorted(level) for level in levels])
+    simplices = [ascending(verts) for verts in maximal]
+    dim = max(map(len, simplices), default=0) - 1
+    top = dim if top is None else min(top, dim)
+    return SimplicialComplex([
+        sorted(set(itertools.chain.from_iterable(
+            itertools.combinations(s, q + 1) for s in simplices)))
+        for q in range(top + 1)], dim)
 
 
 def boundary_matrix(K: SimplicialComplex, q: int):

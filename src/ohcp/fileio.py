@@ -14,7 +14,8 @@ import json
 import re
 from fractions import Fraction
 
-from .complexes import InputError, SimplicialComplex, build_closure, canonical
+from .complexes import (InputError, SimplicialComplex, ascending,
+                        build_closure, canonical)
 
 
 def _content_lines(text):
@@ -31,10 +32,10 @@ def _ints(toks, lineno, what):
         raise InputError(f"line {lineno}: expected integer {what}") from None
 
 
-def parse_complex(text: str) -> SimplicialComplex:
+def parse_complex(text: str, top=None) -> SimplicialComplex:
     maximal = [_ints(line.split(), lineno, "vertex ids")
                for lineno, line in _content_lines(text)]
-    return build_closure(maximal)
+    return build_closure(maximal, top)
 
 
 def parse_chain(text: str, K: SimplicialComplex, p: int) -> list:
@@ -94,7 +95,7 @@ def parse_weights(text: str, K: SimplicialComplex, p: int):
         toks = line.split()
         if len(toks) != p + 2:
             raise InputError(f"line {lineno}: expected weight and {p + 1} vertices")
-        verts, _ = canonical(_ints(toks[1:], lineno, "vertex ids"))
+        verts = ascending(_ints(toks[1:], lineno, "vertex ids"))
         i = K.index_of(p, verts)
         if i in seen:
             raise InputError(f"line {lineno}: repeated simplex {verts}")

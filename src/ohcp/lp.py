@@ -296,9 +296,10 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
     # price with the objective times the lcm of its denominators: a positive
     # factor changes no sign, so no pivot changes, and D d stays in the
     # integers
-    costs = lp.x_cost * 2 + lp.y_cost * 2
+    costs = lp.x_cost + lp.y_cost
     scale = math.lcm(*(v.denominator for v in costs))
     cost = [v.numerator * (scale // v.denominator) for v in costs]
+    cost = cost[:m] * 2 + cost[m:] * 2
     tab.minimize(cost)
     det = tab.det
     point = tab.scaled_point()

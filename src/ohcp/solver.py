@@ -44,7 +44,8 @@ class OHCPInstance:
         if len(self.weights) != self.m:
             raise InputError(f"weight length {len(self.weights)} != {self.m}")
         self.c = [int(v) for v in self.c]
-        self.weights = [Fraction(w) for w in self.weights]
+        self.weights = [w if isinstance(w, Fraction) else Fraction(w)
+                        for w in self.weights]
         if self.variant == "L0Box":
             if any(v not in (-1, 0, 1) for v in self.c):
                 raise InputError("L0Box requires chain entries in {-1,0,1}")
@@ -54,7 +55,8 @@ class OHCPInstance:
             if self.y_weights is None or len(self.y_weights) != self.n:
                 raise InputError("TotalWeight requires y-weights of length "
                                  f"{self.n}")
-            self.y_weights = [Fraction(w) for w in self.y_weights]
+            self.y_weights = [w if isinstance(w, Fraction) else Fraction(w)
+                              for w in self.y_weights]
 
     @property
     def m(self):

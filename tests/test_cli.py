@@ -223,6 +223,15 @@ class TestSolvePipeline:
         err = capsys.readouterr().err
         assert "unrecognized arguments: --col-cap 16" in err
 
+    def test_many_vertex_simplex_builds_only_the_levels_read(self, paths,
+                                                             capsys):
+        # all 2**26 faces of this simplex do not fit in memory; homology
+        # --dim 1 reads its levels 0..2 alone
+        big = paths["tmp"] / "big.scx"
+        big.write_text(" ".join(map(str, range(26))) + "\n")
+        code, out, _ = run(capsys, "homology", "--complex", big, "--dim", "1")
+        assert (code, json.loads(out)) == (0, {"betti": 0, "torsion": []})
+
     def test_missing_file_exit_code(self, paths, capsys):
         code, _, _ = run(capsys, "homology", "--complex",
                          paths["tmp"] / "nope.scx", "--dim", "0")
@@ -344,6 +353,19 @@ def test_reused_parser_carries_nothing_between_calls(paths, capsys,
                                *map(str, argv)], env=env,
                               capture_output=True, text=True, timeout=30)
         assert (done.returncode, done.stdout, done.stderr) == want, argv
+
+
+def test_unknown_flag_gets_the_subcommand_usage(paths, capsys):
+    # parse_args alone reports it with the top-level usage, which names no
+    # flag of the subcommand
+    with pytest.raises(SystemExit) as exc:
+        main(["mobius-scan", "--complex", str(paths["moebius"]), "--dim", "2",
+              "--col-cap", "3"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: ohcp mobius-scan [-h] --complex K.scx ")
+    assert err.endswith("\nohcp mobius-scan: error: unrecognized arguments: "
+                        "--col-cap 3\n")
 
 
 class TestSparseCascade:

@@ -60,6 +60,20 @@ class TestClosure:
                     assert verts[:i] + verts[i + 1:] in K.index[q - 1]
 
     @settings(max_examples=50)
+    @given(simplex_lists, st.integers(-2, 4))
+    def test_top_builds_the_lowest_levels(self, maximal, top):
+        K = build_closure(maximal)
+        cut = build_closure(maximal, top)
+        assert cut.dim == K.dim
+        assert cut.simplices_by_dim == K.simplices_by_dim[:max(top + 1, 0)]
+        for q in range(max(top + 1, 0), K.dim + 1):
+            with pytest.raises(IndexError):
+                cut.simplices(q)
+        if 0 <= top < K.dim:
+            with pytest.raises(IndexError):
+                cut.boundary_columns(top + 1)
+
+    @settings(max_examples=50)
     @given(simplex_lists, st.randoms(use_true_random=False))
     def test_basis_independent_of_input_order(self, maximal, rnd):
         K1 = build_closure(maximal)

@@ -107,6 +107,26 @@ class TestCoordinatesFormat:
             fileio.parse_coordinates("0 0 0\n1 3 0\n1 30 0\n2 3 4\n")
 
 
+@pytest.mark.parametrize("parse, line, message", [
+    ("complex", "0 -1 2", "negative vertex id in (0, -1, 2)"),
+    ("complex", "2 1 2", "duplicate vertices in simplex (2, 1, 2)"),
+    ("complex", "1 -1 1", "negative vertex id in (1, -1, 1)"),
+    ("weights", "3 2 -1", "negative vertex id in (2, -1)"),
+    ("weights", "3 1 1", "duplicate vertices in simplex (1, 1)"),
+    ("chain", "1 2 -1", "negative vertex id in (2, -1)"),
+    ("chain", "1 1 1", "duplicate vertices in simplex (1, 1)"),
+])
+def test_bad_vertex_ids_named_in_input_order(parse, line, message):
+    # a negative id is reported before a repeated one
+    K = fixtures.triangle()
+    read = {"complex": fileio.parse_complex,
+            "weights": lambda t: fileio.parse_weights(t, K, 1),
+            "chain": lambda t: fileio.parse_chain(t, K, 1)}[parse]
+    with pytest.raises(InputError) as exc:
+        read(line + "\n")
+    assert str(exc.value) == message
+
+
 class TestMatrixFormat:
     def test_round_trip(self):
         M = IntMatrix(MOEBIUS_B2)

@@ -8,36 +8,41 @@ from hypothesis import strategies as st
 
 from ohcp import fixtures
 from ohcp.complexes import InputError
-from ohcp.geometry import (rational_sqrt, squared_volume,
+from ohcp.geometry import (lattice_point, rational_sqrt, squared_volume,
                            weights_from_coordinates)
+
+
+def volume2(points):
+    """The squared volume of the simplex on the rational `points`."""
+    return Fraction(*squared_volume([lattice_point(q) for q in points]))
 
 
 class TestSquaredVolume:
     def test_unit_segment(self):
-        assert squared_volume([(0, 0), (1, 0)]) == 1
+        assert volume2([(0, 0), (1, 0)]) == 1
 
     def test_3_4_5_segment(self):
-        assert squared_volume([(0, 0), (3, 4)]) == 25
+        assert volume2([(0, 0), (3, 4)]) == 25
 
     def test_right_triangle(self):
-        assert squared_volume([(0, 0), (1, 0), (0, 1)]) == Fraction(1, 4)
+        assert volume2([(0, 0), (1, 0), (0, 1)]) == Fraction(1, 4)
 
     def test_unit_tetrahedron(self):
         pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        assert squared_volume(pts) == Fraction(1, 36)
+        assert volume2(pts) == Fraction(1, 36)
 
     def test_degenerate_simplex(self):
-        assert squared_volume([(0, 0), (1, 1), (2, 2)]) == 0
+        assert volume2([(0, 0), (1, 1), (2, 2)]) == 0
 
     def test_point(self):
-        assert squared_volume([(5, 5)]) == 1
+        assert volume2([(5, 5)]) == 1
 
     def test_rational_coordinates(self):
-        assert squared_volume([(Fraction(1, 2), 0), (Fraction(3, 2), 0)]) == 1
+        assert volume2([(Fraction(1, 2), 0), (Fraction(3, 2), 0)]) == 1
 
     def test_translation_invariance(self):
-        a = squared_volume([(0, 0), (1, 0), (0, 1)])
-        b = squared_volume([(7, -3), (8, -3), (7, -2)])
+        a = volume2([(0, 0), (1, 0), (0, 1)])
+        b = volume2([(7, -3), (8, -3), (7, -2)])
         assert a == b
 
 
@@ -74,31 +79,38 @@ class TestGramAgainstCayleyMenger:
         lambda d: st.lists(st.lists(rationals, min_size=d, max_size=d),
                            min_size=p + 1, max_size=p + 1))))
     def test_equal_rationals(self, points):
-        assert squared_volume(points) == cayley_menger_squared_volume(points)
+        assert volume2(points) == cayley_menger_squared_volume(points)
 
 
 class TestRationalSqrt:
     def test_exact_when_square(self):
-        assert rational_sqrt(Fraction(25)) == 5
-        assert rational_sqrt(Fraction(1, 4)) == Fraction(1, 2)
+        assert rational_sqrt(25, 1) == 5
+        assert rational_sqrt(1, 4) == Fraction(1, 2)
 
     def test_zero(self):
-        assert rational_sqrt(Fraction(0)) == 0
+        assert rational_sqrt(0, 1) == 0
 
     def test_rounded_value_is_close(self):
         v = Fraction(2)
-        s = rational_sqrt(v)
+        s = rational_sqrt(2, 1)
         assert abs(s * s - v) < Fraction(3, 10 ** 9)
 
     def test_round_to_nearest(self):
         # sqrt(2) = 1.4142135623..., sqrt(3) = 1.7320508075...: at the 10^-9
         # resolution the first rounds down and the second up
-        assert rational_sqrt(Fraction(2)) == Fraction(1414213562, 10 ** 9)
-        assert rational_sqrt(Fraction(3)) == Fraction(1732050808, 10 ** 9)
+        assert rational_sqrt(2, 1) == Fraction(1414213562, 10 ** 9)
+        assert rational_sqrt(3, 1) == Fraction(1732050808, 10 ** 9)
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 10 ** 30), st.integers(1, 10 ** 30),
+           st.integers(1, 10 ** 12))
+    def test_common_factor_changes_nothing(self, a, b, g):
+        # squared_volume hands over a / b unreduced
+        assert rational_sqrt(a * g, b * g) == rational_sqrt(a, b)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="negative squared volume"):
-            rational_sqrt(Fraction(-1))
+            rational_sqrt(-1, 1)
 
 
 class TestWeightsFromCoordinates:
