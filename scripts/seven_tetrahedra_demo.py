@@ -6,6 +6,7 @@ p = 1, and the bad minor can only be found by enumeration."""
 import time
 
 from ohcp import fixtures
+from ohcp.complexes import coface_map
 from ohcp.homology import torsion_witness_from_submatrix
 from ohcp.tu import find_mobius_subcomplex, is_tu_minor_enumeration
 
@@ -22,7 +23,7 @@ def main():
     print(f"  witness minor: rows {verdict.witness_rows}, "
           f"cols {verdict.witness_cols}, det {verdict.witness_det}")
 
-    w = find_mobius_subcomplex(K, 3)
+    w = find_mobius_subcomplex(K.boundary_columns(3), coface_map(K, 3), 3)
     print(f"\n3-dimensional Moebius subcomplex search: "
           f"{'found ' + str(w.simplices) if w else 'none found'}")
 

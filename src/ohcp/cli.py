@@ -13,7 +13,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import fileio
-from .complexes import (InputError, NotPseudomanifold, boundary_matrix,
+from .complexes import (InputError, boundary_matrix, coface_map,
                         orient_consistently)
 from .geometry import weights_from_coordinates
 from .homology import homology_summary, torsion_witness_from_submatrix
@@ -82,24 +82,25 @@ def cmd_tu(args):
                                           col_cap=args.col_cap)
     elif args.method == "ht":
         # a Heller-Tompkins partition of the transpose is an orientation
-        try:
-            signs = orient_consistently(K, p + 1)
-            status = "no-partition" if signs is None else "tu-certified"
-        except NotPseudomanifold:
-            status = "inapplicable"
-        if status != "tu-certified":
+        rows = coface_map(K, p + 1)
+        if orient_consistently(rows, K.count(p + 1)) is None:
+            status = ("inapplicable" if any(len(r) > 2 for r in rows)
+                      else "no-partition")
             raise Undecided(f"Heller-Tompkins: {status} (the condition "
                             "is sufficient only)")
         verdict = TUVerdict("TU", "heller-tompkins")
     else:  # mobius
-        verdict = mobius_verdict(K, p + 1, args.budget)
+        verdict = mobius_verdict(K.boundary_columns(p + 1),
+                                 coface_map(K, p + 1), p + 1, args.budget)
     _emit(asdict(verdict))
     return EXIT_OK
 
 
 def cmd_mobius_scan(args):
     K = _load_complex(args, 0)
-    w = find_mobius_subcomplex(K, args.dim, budget=args.budget)
+    w = find_mobius_subcomplex(K.boundary_columns(args.dim),
+                               coface_map(K, args.dim), args.dim,
+                               budget=args.budget)
     if w is None:
         _emit({"found": False})
     else:
@@ -170,15 +171,27 @@ def cmd_homology(args):
     return EXIT_OK
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports an argument it does not know with
+    its own usage, which names its flags, not with the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:   # what parse_args says
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="ohcp",
         description="Optimal homologous chains with TU/torsion certification")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_SubcommandParser)
 
     def add(name, fn, **flags):
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn, parser=p)
+        p.set_defaults(fn=fn)
         if flags.get("complex"):
             p.add_argument("--complex", required=True, metavar="K.scx")
         if flags.get("dim"):
@@ -218,16 +231,14 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args, extra = _parser.parse_known_args(argv)
-    if extra:   # what parse_args says, with the subcommand's own usage
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = _parser.parse_args(argv)
     try:
         for flag in ("col_cap", "budget"):
             if getattr(args, flag, 0) < 0:
                 raise InputError(f"--{flag.replace('_', '-')} must be "
                                  f"non-negative, got {getattr(args, flag)}")
         return args.fn(args)
-    except (InputError, NotPseudomanifold) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Undecided as exc:

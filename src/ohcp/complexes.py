@@ -18,10 +18,6 @@ class InputError(ValueError):
     """Invalid user-supplied data (bad simplex, bad file, bad chain)."""
 
 
-class NotPseudomanifold(ValueError):
-    """Some (q-1)-simplex is a face of three or more q-simplices."""
-
-
 def ascending(vertices):
     """The ascending tuple of the vertex ids `vertices`, which must be
     non-negative and distinct; an error names them in input order."""
@@ -171,16 +167,21 @@ def coface_map(K: SimplicialComplex, q: int):
     return rows
 
 
-def parity_coloring(rows, n):
+def orient_consistently(rows, n):
     """Signs s of the columns 0..n-1 such that s_j a + s_k b = 0 for every
-    sparse row {j: a, k: b} with two +-1 entries, or None if none exist.
+    sparse row {j: a, k: b} with two +-1 entries, or None if none exist or
+    a row has more than two nonzeros. On the rows of coface_map(K, q) they
+    orient the q-simplices so that every interior (q-1)-face cancels, which
+    is possible exactly on an orientable pseudomanifold.
 
     Each row forces s_k = -a b s_j, a parity constraint; the smallest column
     of each connected component is anchored at +1. Rows with one nonzero
-    constrain nothing; rows with more than two must not occur.
+    constrain nothing.
     """
     adj = [[] for _ in range(n)]
     for row in rows:
+        if len(row) > 2:
+            return None
         if len(row) == 2:
             (j, a), (k, b) = row.items()
             adj[j].append((k, -a * b))
@@ -201,17 +202,3 @@ def parity_coloring(rows, n):
                 elif signs[k] != want:
                     return None
     return signs
-
-
-def orient_consistently(K: SimplicialComplex, q: int):
-    """Signs making every interior (q-1)-face cancel, or None if non-orientable.
-
-    Requires every (q-1)-simplex to be a face of at most two q-simplices;
-    otherwise NotPseudomanifold is raised.
-    """
-    rows = coface_map(K, q)
-    for i, row in enumerate(rows):
-        if len(row) > 2:
-            raise NotPseudomanifold(
-                f"{q - 1}-simplex {K.simplices(q - 1)[i]} has {len(row)} cofaces")
-    return parity_coloring(rows, K.count(q))

@@ -1,6 +1,8 @@
 """Total-unimodularity certification for boundary matrices.
 
-Three routes are implemented and cross-checked by the test suite:
+Three routes are implemented and cross-checked by the test suite. Each
+reads the q-boundary's sparse columns B = K.boundary_columns(q), the last
+two also its signed rows coface_map(K, q); tu_verdict builds both once:
 
   * exhaustive minor enumeration with a column cap, done level-by-level over
     column subsets so each k x k minor is a Laplace expansion of already
@@ -8,7 +10,7 @@ Three routes are implemented and cross-checked by the test suite:
     most one nonzero (free-face collapses, which keep TU and the witness);
   * the Heller-Tompkins two-partition condition on the transposed boundary,
     whose columns have at most two nonzeros exactly on a pseudomanifold:
-    its partition is a consistent orientation (complexes.orient_consistently);
+    its partition is a consistent orientation, orient_consistently(rows);
   * a search for non-orientable cycle complexes, whose relative boundary
     matrices are Moebius cycle matrices of determinant +-2.
 
@@ -21,9 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import (InputError, NotPseudomanifold, SimplicialComplex,
-                        boundary_submatrix, coface_map, orient_consistently,
-                        parity_coloring)
+from .complexes import (InputError, SimplicialComplex, boundary_submatrix,
+                        coface_map, orient_consistently)
 from .matrices import det_int
 
 
@@ -187,9 +188,10 @@ def is_tu_minor_enumeration(cols, col_cap: int = 16) -> TUVerdict:
     return TUVerdict("TU", "minor-enumeration")
 
 
-def find_mobius_subcomplex(K: SimplicialComplex, q: int,
-                           budget: int = 10 ** 6):
-    """Search for a non-orientable cycle complex of q-simplices.
+def find_mobius_subcomplex(B, rows, q: int, budget: int = 10 ** 6):
+    """Search for a non-orientable cycle complex of q-simplices, given the
+    q-boundary's sparse columns `B` (K.boundary_columns(q)) and its signed
+    rows `rows` (coface_map(K, q)).
 
     Cycle complexes are cyclic sequences where consecutive simplices share
     exactly one (q-1)-face, non-consecutive ones share no (q-1)-face, and
@@ -206,10 +208,9 @@ def find_mobius_subcomplex(K: SimplicialComplex, q: int,
     cycle complex is a graph cycle, which is always orientable. And when
     the signed graph is balanced (Harary 1953), no cycle has product -1.
     Three cofaces of one face close a triangle of product -1, so the graph
-    is balanced exactly when no face has three cofaces and one
-    parity_coloring over the rows of coface_map succeeds: when the complex
-    is an orientable pseudomanifold. The signed graph is read off the same
-    rows.
+    is balanced exactly when orient_consistently(rows, len(B)) succeeds,
+    which needs no face with three cofaces: when the complex is an
+    orientable pseudomanifold. The signed graph is read off the same rows.
 
     Otherwise the DFS carries the sign product of its path and prunes it.
     It tests a path of three members when it first reaches it, and a path
@@ -233,18 +234,14 @@ def find_mobius_subcomplex(K: SimplicialComplex, q: int,
     members (all but the first and the last) having it, so testing a
     candidate touches only its q+1 faces.
     """
-    B = K.boundary_columns(q)     # InputError unless 1 <= q <= K.dim
     if q == 1:
         return None
     n = len(B)
-    cofaces = coface_map(K, q)
-    # three cofaces of one face close a triangle of product -1
-    if all(len(c) <= 2 for c in cofaces) and parity_coloring(
-            cofaces, n) is not None:
+    if orient_consistently(rows, n) is not None:
         return None
     # adj[a]: (b, sign, face) for each simplex b sharing a (q-1)-face with a
     adj = [[] for _ in range(n)]
-    for f, c in enumerate(cofaces):
+    for f, c in enumerate(rows):
         for a, b in itertools.combinations(c, 2):
             adj[a].append((b, -c[a] * c[b], f))
             adj[b].append((a, -c[a] * c[b], f))
@@ -252,7 +249,7 @@ def find_mobius_subcomplex(K: SimplicialComplex, q: int,
         nbrs.sort()
 
     on_path = [False] * n
-    inner = [0] * len(cofaces)  # path members, bar first and last, per face
+    inner = [0] * len(rows)     # path members, bar first and last, per face
     nodes = 0
 
     def probe(v):
@@ -343,20 +340,21 @@ def find_mobius_subcomplex(K: SimplicialComplex, q: int,
     return None
 
 
-def mobius_verdict(K: SimplicialComplex, q: int, budget: int) -> TUVerdict:
-    """The Moebius route: NotTU with the minor carved out by the first
-    Moebius complex of q-simplices, else TU, which is conclusive only for
-    q <= 2 (raises Undecided above)."""
-    w = find_mobius_subcomplex(K, q, budget=budget)
+def mobius_verdict(B, rows, q: int, budget: int) -> TUVerdict:
+    """The Moebius route over the q-boundary's columns `B` and signed rows
+    `rows`: NotTU with the minor carved out by the first Moebius complex of
+    q-simplices, else TU, which is conclusive only for q <= 2 (raises
+    Undecided above)."""
+    w = find_mobius_subcomplex(B, rows, q, budget=budget)
     if w is None:
         if q > 2:
             raise Undecided("no Moebius subcomplex found, but absence is "
                             f"not conclusive for p = {q - 1} > 1")
         return TUVerdict("TU", "mobius-search")
-    rows = sorted(w.shared_faces)
-    cols = sorted(w.simplices)
-    d = _verify_witness(K.boundary_columns(q), rows, cols)
-    return TUVerdict("NotTU", "mobius-search", rows, cols, d)
+    rows_w = sorted(w.shared_faces)
+    cols_w = sorted(w.simplices)
+    d = _verify_witness(B, rows_w, cols_w)
+    return TUVerdict("NotTU", "mobius-search", rows_w, cols_w, d)
 
 
 def tu_verdict(K: SimplicialComplex, p: int, col_cap: int = 16,
@@ -366,16 +364,16 @@ def tu_verdict(K: SimplicialComplex, p: int, col_cap: int = 16,
     (a) orientable-pseudomanifold shortcut, (b) Moebius-complex search for
     p <= 1 (a full characterization there), (c) capped minor enumeration.
     For p = 0 the search returns at once: every cycle of edges is
-    orientable (a graph's incidence matrix is TU).
+    orientable (a graph's incidence matrix is TU). The boundary's columns
+    and signed rows are built once and read by every route.
     """
     q = p + 1
     if q > K.dim:
         raise InputError(f"complex has no {q}-simplices")
-    try:
-        if orient_consistently(K, q) is not None:
-            return TUVerdict("TU", "orientable-manifold-shortcut")
-    except NotPseudomanifold:
-        pass
+    B = K.boundary_columns(q)
+    rows = coface_map(K, q)
+    if orient_consistently(rows, len(B)) is not None:
+        return TUVerdict("TU", "orientable-manifold-shortcut")
     if p <= 1:
-        return mobius_verdict(K, q, budget)
-    return is_tu_minor_enumeration(K.boundary_columns(q), col_cap=col_cap)
+        return mobius_verdict(B, rows, q, budget)
+    return is_tu_minor_enumeration(B, col_cap=col_cap)

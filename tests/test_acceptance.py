@@ -13,8 +13,7 @@ from cycle_matrices import (classify_cycle_matrix, cycle_matrix_det,
 from helpers import (MOEBIUS_B2, PROJECTIVE_PLANE_B2, IntMatrix, det,
                      matvec, snf)
 from ohcp import fixtures
-from ohcp.complexes import (boundary_matrix, orient_consistently,
-                            parity_coloring)
+from ohcp.complexes import boundary_matrix, coface_map, orient_consistently
 from ohcp.homology import torsion_witness_from_submatrix
 from ohcp.matrices import smith_normal_form
 from ohcp.solver import OHCPInstance, solve
@@ -72,7 +71,8 @@ def test_acceptance_3_seven_tetrahedra():
     assert v.status == "NotTU"
     assert len(v.witness_rows) == 7 and len(v.witness_cols) == 7
     assert abs(v.witness_det) == 2
-    assert find_mobius_subcomplex(K, 3) is None
+    assert find_mobius_subcomplex(K.boundary_columns(3), coface_map(K, 3),
+                                  3) is None
     report(3, "seven-tetrahedra complex: 19x7 boundary matrix, 7x7 minor "
               "of |det| 2, no 3-dimensional Moebius subcomplex")
 
@@ -91,7 +91,7 @@ def test_acceptance_4_orientable_manifolds_tu():
         if check_minors:
             assert is_tu_minor_enumeration(
                 B.transpose().sparse_rows()).status == "TU"
-        signs = orient_consistently(K, 2)
+        signs = orient_consistently(coface_map(K, 2), K.count(2))
         assert signs is not None
         for _ in range(10):
             flips = [rng.choice((1, -1)) for _ in range(B.n)]
@@ -106,7 +106,7 @@ def test_acceptance_4_orientable_manifolds_tu():
                 M = flipped.scaled(col_signs=total)
                 rows = M.sparse_rows()
                 assert all(len(row) <= 2 for row in rows)
-                assert parity_coloring(rows, M.n) is not None
+                assert orient_consistently(rows, M.n) is not None
     report(4, "sphere/cylinder/torus are TU and stay TU under 10 random "
               "reorientations each")
 

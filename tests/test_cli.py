@@ -368,6 +368,24 @@ def test_unknown_flag_gets_the_subcommand_usage(paths, capsys):
                         "--col-cap 3\n")
 
 
+@pytest.mark.parametrize("before", (True, False), ids=("before", "after"))
+def test_unknown_flag_gets_the_usage_of_the_parser_it_reached(paths, capsys,
+                                                              before):
+    # before the subcommand the top-level parser is the one that did not
+    # know it; after it, the subcommand's parser
+    argv = ["homology", "--dim", "1", "--complex", str(paths["moebius"])]
+    argv = ["--bogus"] + argv if before else argv + ["--bogus"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    prog = "ohcp" if before else "ohcp homology"
+    usage = ("usage: ohcp [-h] {" if before
+             else "usage: ohcp homology [-h] --complex K.scx --dim DIM\n")
+    assert exc.value.code == 2
+    assert err.startswith(usage)
+    assert err.endswith(f"\n{prog}: error: unrecognized arguments: --bogus\n")
+
+
 class TestSparseCascade:
     """The TU routes read the cached sparse boundary, never a dense one."""
 

@@ -17,8 +17,15 @@ import mobius_search_reference as ref
 from cycle_matrices import classify_cycle_matrix
 from helpers import IntMatrix, klein_grid
 from ohcp import fixtures
-from ohcp.complexes import boundary_matrix, build_closure
+from ohcp.complexes import boundary_matrix, build_closure, coface_map
 from ohcp.tu import BudgetExceeded, CycleComplexWitness, find_mobius_subcomplex
+
+
+def pruned(K, q, budget=10 ** 6):
+    """The package's pruned search, called as the reference is: on K's cached
+    q-boundary columns and their signed rows."""
+    return find_mobius_subcomplex(K.boundary_columns(q), coface_map(K, q), q,
+                                  budget=budget)
 
 
 def run(search, K, q, budget):
@@ -43,7 +50,7 @@ def assert_same_witness(K, q):
     """At the reference's smallest budget the search does not raise, and it
     returns the reference's witness."""
     n = smallest_budget(ref.find_mobius_subcomplex, K, q)
-    assert run(find_mobius_subcomplex, K, q, n) == \
+    assert run(pruned, K, q, n) == \
         ref.find_mobius_subcomplex(K, q, budget=n)
 
 
@@ -58,7 +65,7 @@ def kind(K, w):
 def assert_cycle_kinds(K, q):
     """The search's witness is a Moebius cycle matrix, and the reference's
     orientable one a cylinder cycle matrix."""
-    w = find_mobius_subcomplex(K, q)
+    w = pruned(K, q)
     assert w is None or kind(K, w) == "MCM"
     w = ref.find_mobius_subcomplex(K, q, want_orientable=True)
     assert w is None or kind(K, w) == "CCM"
@@ -102,11 +109,11 @@ class TestAgainstRecursiveReference:
 
     def test_budget_exhaustion_on_a_large_klein_grid(self):
         K = klein_grid(7, 7)
-        assert run(find_mobius_subcomplex, K, 2, 1) is \
+        assert run(pruned, K, 2, 1) is \
             run(ref.find_mobius_subcomplex, K, 2, 1) is BudgetExceeded
         # the pruning decides where the reference still exhausts its budget
         assert run(ref.find_mobius_subcomplex, K, 2, 4000) is BudgetExceeded
-        assert find_mobius_subcomplex(K, 2, budget=4000) == KLEIN_7X7_WITNESS
+        assert pruned(K, 2, budget=4000) == KLEIN_7X7_WITNESS
 
     def test_pruning_counts_each_cycle_in_one_direction(self):
         # a walk that closes at a simplex below path[1] is a cycle the DFS
@@ -116,7 +123,7 @@ class TestAgainstRecursiveReference:
                            [4, 1, 2], [2, 0, 3], [3, 4, 1], [2, 5, 0],
                            [5, 1, 3], [3, 2, 4]])
         assert smallest_budget(ref.find_mobius_subcomplex, K, 2) == 67
-        assert run(find_mobius_subcomplex, K, 2, 35) == \
+        assert run(pruned, K, 2, 35) == \
             ref.find_mobius_subcomplex(K, 2, budget=67)
 
     def test_pruning_walks_never_turn_back_through_a_face(self):
@@ -126,12 +133,12 @@ class TestAgainstRecursiveReference:
         K = build_closure([list(t) for t in fixtures.torus().simplices(2)]
                           + [[0, 6, 7]])
         assert smallest_budget(ref.find_mobius_subcomplex, K, 2) == 439
-        assert run(find_mobius_subcomplex, K, 2, 58) is None
+        assert run(pruned, K, 2, 58) is None
 
     @pytest.mark.parametrize("make", [fixtures.torus, fixtures.cylinder])
     def test_balanced_input_visits_no_node(self, make):
         # an orientable surface's signed dual graph is balanced
-        assert find_mobius_subcomplex(make(), 2, budget=0) is None
+        assert pruned(make(), 2, budget=0) is None
 
     @settings(max_examples=30, deadline=None)
     @given(st.tuples(st.integers(3, 5), st.integers(3, 5)).flatmap(
@@ -143,7 +150,7 @@ class TestAgainstRecursiveReference:
     def test_random_klein_grids(self, case):
         (a, b), flip, label = case
         K = klein_grid(a, b, flip, label)
-        assert find_mobius_subcomplex(K, 2, budget=math.inf) == \
+        assert pruned(K, 2, budget=math.inf) == \
             ref.find_mobius_subcomplex(K, 2, budget=math.inf)
 
     @settings(max_examples=60, deadline=None)

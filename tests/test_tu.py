@@ -1,5 +1,7 @@
-"""Total-unimodularity certification: minors and cycles (the
-Heller-Tompkins route is tested through the CLI and orient_consistently)."""
+"""Total-unimodularity certification: minors and cycles. The routes read
+the boundary's cached sparse columns and its signed rows (coface_map), which
+tu_verdict builds once per verdict; the Heller-Tompkins route is tested
+through the CLI and through orient_consistently over those rows."""
 import itertools
 import os
 import subprocess
@@ -13,9 +15,10 @@ import mobius_search_reference
 import ohcp
 from cycle_matrices import (classify_cycle_matrix, cycle_matrix_det,
                             cycle_matrix_normal_form)
-from helpers import MOEBIUS_B2, PROJECTIVE_PLANE_B2, IntMatrix, det, identity
-from ohcp import fixtures
-from ohcp.complexes import boundary_matrix, build_closure
+from helpers import (MOEBIUS_B2, PROJECTIVE_PLANE_B2, IntMatrix, det, identity,
+                     klein_grid)
+from ohcp import complexes, fixtures, tu
+from ohcp.complexes import boundary_matrix, build_closure, coface_map
 from ohcp.tu import (Undecided, find_mobius_subcomplex,
                      is_tu_minor_enumeration, mobius_verdict, tu_verdict)
 
@@ -144,14 +147,16 @@ class TestCycleMatrices:
 
 class TestMobiusSearch:
     def test_moebius_strip_found(self):
-        w = find_mobius_subcomplex(fixtures.mobius_strip(), 2)
+        K = fixtures.mobius_strip()
+        w = find_mobius_subcomplex(K.boundary_columns(2), coface_map(K, 2), 2)
         assert w is not None
         assert len(w.simplices) == 6
 
     def test_cylinder_has_only_orientable_cycles(self):
         # only the frozen reference search still looks for orientable ones
         K = fixtures.cylinder()
-        assert find_mobius_subcomplex(K, 2) is None
+        assert find_mobius_subcomplex(K.boundary_columns(2), coface_map(K, 2),
+                                      2) is None
         w = mobius_search_reference.find_mobius_subcomplex(
             K, 2, want_orientable=True)
         B = IntMatrix(boundary_matrix(K, 2))
@@ -159,10 +164,13 @@ class TestMobiusSearch:
         assert classify_cycle_matrix(S).kind == "CCM"
 
     def test_seven_tetrahedra_has_no_3d_moebius(self):
-        assert find_mobius_subcomplex(fixtures.seven_tetrahedra(), 3) is None
+        K = fixtures.seven_tetrahedra()
+        assert find_mobius_subcomplex(K.boundary_columns(3), coface_map(K, 3),
+                                      3) is None
 
     def test_mcm_witness_has_det_two(self):
-        v = mobius_verdict(fixtures.mobius_strip(), 2, 10 ** 6)
+        K = fixtures.mobius_strip()
+        v = mobius_verdict(K.boundary_columns(2), coface_map(K, 2), 2, 10 ** 6)
         assert abs(v.witness_det) == 2
 
     def test_witness_check_survives_optimised_mode(self):
@@ -170,10 +178,11 @@ class TestMobiusSearch:
         # Moebius route and the minors route must still refuse their
         # witness, which both check in one place
         src = os.path.dirname(os.path.dirname(ohcp.__file__))
-        for route in ("tu.mobius_verdict(fixtures.mobius_strip(), 2, 10**6)",
-                      "tu.is_tu_minor_enumeration("
-                      "fixtures.mobius_strip().boundary_columns(2))"):
+        for route in ("tu.mobius_verdict(K.boundary_columns(2), "
+                      "tu.coface_map(K, 2), 2, 10**6)",
+                      "tu.is_tu_minor_enumeration(K.boundary_columns(2))"):
             check = ("from ohcp import fixtures, tu; "
+                     "K = fixtures.mobius_strip(); "
                      f"tu.det_int = lambda rows, n: 1; print({route})")
             proc = subprocess.run([sys.executable, "-O", "-c", check],
                                   env=dict(os.environ, PYTHONPATH=src),
@@ -183,7 +192,7 @@ class TestMobiusSearch:
 
     def test_found_cycle_submatrix_is_an_mcm(self):
         K = fixtures.projective_plane()
-        w = find_mobius_subcomplex(K, 2)
+        w = find_mobius_subcomplex(K.boundary_columns(2), coface_map(K, 2), 2)
         assert w is not None
         B = IntMatrix(boundary_matrix(K, 2))
         S = B.submatrix(sorted(w.shared_faces), sorted(w.simplices))
@@ -222,7 +231,8 @@ class TestVerdictCascade:
         # K9's cycles would overrun the budget, but none of them can be a
         # Moebius complex: every cycle of edges is orientable
         K = build_closure(itertools.combinations(range(9), 2))
-        assert find_mobius_subcomplex(K, 1, budget=0) is None
+        assert find_mobius_subcomplex(K.boundary_columns(1), coface_map(K, 1),
+                                      1, budget=0) is None
         v = tu_verdict(K, 0, budget=0)
         assert (v.status, v.method) == ("TU", "mobius-search")
 
@@ -233,6 +243,43 @@ class TestVerdictCascade:
         K = build_closure(edges)
         by_minors = is_tu_minor_enumeration(K.boundary_columns(1))
         assert tu_verdict(K, 0).status == by_minors.status == "TU"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(4, 7).flatmap(lambda n: st.lists(
+        st.sampled_from(list(itertools.combinations(range(n), 3))),
+        min_size=1, max_size=12, unique=True)))
+    def test_cascade_agrees_with_minors_on_2_complexes(self, triangles):
+        K = build_closure(triangles)
+        by_cascade = tu_verdict(K, 1)
+        by_minors = is_tu_minor_enumeration(K.boundary_columns(2))
+        assert by_cascade.status == by_minors.status
+        B = IntMatrix(boundary_matrix(K, 2))
+        for v in (by_cascade, by_minors):
+            if v.status == "NotTU":
+                d = det(B.submatrix(v.witness_rows, v.witness_cols))
+                assert abs(d) >= 2 and d == v.witness_det
+
+    @pytest.mark.parametrize("name", ("klein", "torus-fin"))
+    def test_one_row_build_per_verdict(self, monkeypatch, name):
+        # the Moebius route reads the rows the orientable shortcut read;
+        # the fin's edge has three cofaces, so the torus is no pseudomanifold
+        if name == "klein":
+            K = klein_grid(3, 3)
+        else:
+            T = fixtures.torus()
+            a, b = T.simplices(1)[0]
+            K = build_closure(T.simplices(2) + [(a, b, T.count(0))])
+        calls = []
+
+        def counted(K, q):
+            calls.append(q)
+            return coface_map(K, q)
+        for module in (complexes, tu):
+            monkeypatch.setattr(module, "coface_map", counted)
+        v = tu_verdict(K, 1)
+        assert v.method == "mobius-search"
+        assert v.status == ("NotTU" if name == "klein" else "TU")
+        assert calls == [2]
 
     def test_dimension_out_of_range(self):
         with pytest.raises(ValueError):
