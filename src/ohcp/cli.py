@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import fileio
@@ -92,7 +91,7 @@ def cmd_tu(args):
     else:  # mobius
         verdict = mobius_verdict(K.boundary_columns(p + 1),
                                  coface_map(K, p + 1), p + 1, args.budget)
-    _emit(asdict(verdict))
+    _emit(vars(verdict))
     return EXIT_OK
 
 
@@ -114,11 +113,11 @@ def cmd_torsion_scan(args):
     p = args.dim
     verdict = tu_verdict(K, p, col_cap=args.col_cap, budget=args.budget)
     if verdict.status == "TU":
-        _emit({"torsion": False, "verdict": asdict(verdict)})
+        _emit({"torsion": False, "verdict": vars(verdict)})
         return EXIT_OK
     w = torsion_witness_from_submatrix(K, p, verdict.witness_rows,
                                        verdict.witness_cols)
-    _emit({"torsion": True, "verdict": asdict(verdict),
+    _emit({"torsion": True, "verdict": vars(verdict),
            "L_cols": w.L_cols, "L0_rows": w.L0_rows,
            "torsion_coefficient": w.torsion_coefficient})
     return EXIT_OK

@@ -1,5 +1,6 @@
 """Integral homology and torsion witnesses, read off the Smith normal form
-diagonal (ohcp.matrices.smith_normal_form) of boundary matrices."""
+diagonal (ohcp.matrices.smith_normal_form) of boundary matrices; the
+1-boundary's diagonal is read off its graph's components instead."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -22,21 +23,42 @@ class TorsionWitness:
     torsion_coefficient: int
 
 
+def _smith_diagonal(K: SimplicialComplex, q: int):
+    """The Smith diagonal of the q-boundary of K.
+
+    The 1-boundary is the incidence matrix of a directed graph, which is
+    totally unimodular, so its diagonal is all ones and its rank is
+    #vertices - #components: the number of edges that join two components,
+    counted by union-find over the edges' vertex rows. Every other q goes
+    to the elimination kernel. The cached columns of the q-boundary are the
+    rows of its transpose, which has the same invariant factors; the kernel
+    consumes copies of them.
+    """
+    if q != 1:
+        return smith_normal_form([dict(c) for c in K.boundary_columns(q)],
+                                 K.count(q - 1))
+    parent = list(range(K.count(0)))
+    rank = 0
+    for a, b in K.boundary_columns(1):
+        while parent[a] != a:   # path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return [1] * rank
+
+
 def homology_summary(K: SimplicialComplex, p: int):
-    """(betti_p, torsion coefficients of H_p(K)). The cached columns of the
-    q-boundary are the rows of its transpose, which has the same invariant
-    factors; their Smith normal form consumes copies of them."""
+    """(betti_p, torsion coefficients of H_p(K)), read off the Smith
+    diagonals of the p- and (p+1)-boundaries."""
     if not 0 <= p <= K.dim:
         if K.dim < 0:
             raise InputError(f"complex has no {p}-simplices")
         raise InputError(f"dimension {p} out of range 0..{K.dim}")
-    rank_dp, up = 0, []
-    if p >= 1:
-        rank_dp = len(smith_normal_form(
-            [dict(c) for c in K.boundary_columns(p)], K.count(p - 1)))
-    if p < K.dim:
-        up = smith_normal_form([dict(c) for c in K.boundary_columns(p + 1)],
-                               K.count(p))
+    rank_dp = len(_smith_diagonal(K, p)) if p >= 1 else 0
+    up = _smith_diagonal(K, p + 1) if p < K.dim else []
     torsion = [d for d in up if d > 1]
     return K.count(p) - rank_dp - len(up), torsion
 

@@ -80,12 +80,14 @@ class OHCPSolution:
 def assemble(inst: OHCPInstance) -> LinearProgram:
     """The LP of `inst`: the complex's cached columns of B themselves (none
     when p is the top dimension), c, and the absolute weights as the costs
-    of x and, for TotalWeight only, of y."""
-    y_cost = ([abs(v) for v in inst.y_weights]
+    of x and, for TotalWeight only, of y. A non-negative weight is kept as
+    it is: abs() would build a new Fraction for it."""
+    y_cost = ([v if v.numerator >= 0 else -v for v in inst.y_weights]
               if inst.variant == "TotalWeight" else [0] * inst.n)
     B = inst.K.boundary_columns(inst.p + 1) if inst.n else []
     return LinearProgram(B=B, c=inst.c,
-                         x_cost=[abs(w) for w in inst.weights],
+                         x_cost=[w if w.numerator >= 0 else -w
+                                 for w in inst.weights],
                          y_cost=y_cost, box=inst.variant == "L0Box")
 
 

@@ -8,7 +8,24 @@ from hypothesis import strategies as st
 
 from helpers import MOEBIUS_B2, IntMatrix, det, klein_grid, snf, torus_grid
 from ohcp import fixtures
+from ohcp.complexes import boundary_matrix
+from ohcp.fileio import parse_complex
 from ohcp.homology import homology_summary, torsion_witness_from_submatrix
+
+
+@st.composite
+def scx_texts(draw):
+    """.scx text of a complex of dimension <= 3 with several components:
+    two to four blocks of up to four simplices on disjoint vertex ranges (a
+    block may itself fall apart), then up to three isolated vertices, one
+    per line."""
+    blocks = draw(st.lists(st.lists(
+        st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True),
+        min_size=1, max_size=4), min_size=2, max_size=4))
+    lines = [" ".join(str(10 * b + v) for v in simplex)
+             for b, block in enumerate(blocks) for simplex in block]
+    lines += [str(100 + v) for v in range(draw(st.integers(0, 3)))]
+    return "\n".join(lines) + "\n"
 
 
 def matrices(max_dim=8, lo=-6, hi=6):
@@ -104,6 +121,19 @@ class TestHomologySummary:
                              ids=["klein", "torus"])
     def test_40_by_40_grids(self, grid, want):
         assert homology_summary(grid(40, 40), 1) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(scx_texts())
+    def test_matches_the_smith_forms_of_the_boundaries(self, text):
+        """Every H_p of a complex with several components, isolated vertices
+        among them, is what the Smith forms of its dense boundaries say."""
+        K = parse_complex(text)
+        diagonal = [[]] + [snf(IntMatrix(boundary_matrix(K, q)))
+                           for q in range(1, K.dim + 1)] + [[]]
+        for p in range(K.dim + 1):
+            betti = K.count(p) - len(diagonal[p]) - len(diagonal[p + 1])
+            torsion = [d for d in diagonal[p + 1] if d > 1]
+            assert homology_summary(K, p) == (betti, torsion)
 
 
 class TestTorsionWitness:
