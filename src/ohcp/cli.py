@@ -66,8 +66,8 @@ def cmd_boundary(args):
 
 
 def cmd_snf(args):
-    rows, n = fileio.parse_matrix(_read(args.matrix))
-    sys.stdout.write(" ".join(map(str, smith_normal_form(rows, n))) + "\n")
+    rows, _ = fileio.parse_matrix(_read(args.matrix))
+    sys.stdout.write(" ".join(map(str, smith_normal_form(rows))) + "\n")
     return EXIT_OK
 
 

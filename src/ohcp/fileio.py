@@ -133,6 +133,9 @@ def parse_matrix(text: str):
     if len(header) != 2:
         raise InputError("matrix header must be 'm n'")
     m, n = _ints(header, lines[0][0], "matrix header 'm n'")
+    if m < 0 or n < 0:
+        raise InputError(f"line {lines[0][0]}: negative size in matrix "
+                         f"header '{m} {n}'")
     if len(lines) != m + 1:
         raise InputError(f"expected {m} matrix rows, got {len(lines) - 1}")
     rows = []

@@ -35,8 +35,7 @@ def _smith_diagonal(K: SimplicialComplex, q: int):
     consumes copies of them.
     """
     if q != 1:
-        return smith_normal_form([dict(c) for c in K.boundary_columns(q)],
-                                 K.count(q - 1))
+        return smith_normal_form([dict(c) for c in K.boundary_columns(q)])
     parent = list(range(K.count(0)))
     rank = 0
     for a, b in K.boundary_columns(1):
@@ -77,7 +76,7 @@ def torsion_witness_from_submatrix(K: SimplicialComplex, p: int, rows, cols) -> 
     S, kept, cols = relative_boundary_matrix(K, p, cols, L0)
     if kept != sorted(rows) or len(kept) != len(cols):
         raise ValueError("witness submatrix must be square, with no zero row")
-    diagonal = smith_normal_form(S, len(cols))
+    diagonal = smith_normal_form(S)
     tors = [d for d in diagonal if d > 1]
     if len(diagonal) != len(cols) or not tors:
         raise ValueError(f"witness submatrix with invariant factors "

@@ -2,17 +2,18 @@
 
 Python ints are unbounded, so every determinant, rank and Smith normal form
 here is exact. A matrix is passed between layers in one form: its sparse
-rows, a list with one dict {column: nonzero int} per row, together with
-the column count n (columns 0..n-1). The elimination kernel works on these
-rows and first eliminates every +-1 pivot it can, shortest row first; only
-the core left without unit entries goes to dense code (Bareiss for the
-determinant, a Smith normal form loop for rank and SNF). Boundary matrices
-are almost all unit pivots, so that core is small or empty (Dumas,
-Saunders & Villard, "On efficient sparse integer matrix Smith normal form
-computations", JSC 2001). The pivot order cannot change a result: each
-unit pivot adds a 1 to the Smith diagonal, whose list of invariant factors
-is unique, and the determinant's sign is read off the pivots in the order
-they came.
+rows, a list with one dict {column: nonzero int} per row. A column that
+holds no nonzero changes no rank or Smith diagonal, so the column count is
+passed only where it is checked: det_int's square test. The elimination
+kernel works on these rows and first eliminates every +-1 pivot it can,
+shortest row first; only the core left without unit entries goes to dense
+code (Bareiss for the determinant, a Smith normal form loop for rank and
+SNF). Boundary matrices are almost all unit pivots, so that core is small
+or empty (Dumas, Saunders & Villard, "On efficient sparse integer matrix
+Smith normal form computations", JSC 2001). The pivot order cannot change
+a result: each unit pivot adds a 1 to the Smith diagonal, whose list of
+invariant factors is unique, and the determinant's sign is read off the
+pivots in the order they came.
 """
 from __future__ import annotations
 
@@ -20,9 +21,9 @@ import heapq
 import math
 
 
-def _eliminate_units(rows, n):
-    """Eliminate the +-1 pivots of the sparse rows `rows` ({column: entry},
-    columns 0..n-1; rows are modified in place) exactly, shortest row first.
+def _eliminate_units(rows):
+    """Eliminate the +-1 pivots of the sparse rows `rows` ({column: entry};
+    rows are modified in place) exactly, shortest row first.
 
     A pivot v = +-1 at (r, c) subtracts (a_ic * v) * row r from every other
     row i with a_ic != 0; row r and column c then leave the matrix, and the
@@ -40,10 +41,10 @@ def _eliminate_units(rows, n):
     order, and rows[i] the sparse Schur complement row {col: entry} of each
     row never pivoted on (None for pivot rows). The rest has no +-1 entry.
     """
-    cols = [set() for _ in range(n)]        # rows holding each column
+    cols = {}       # rows holding each column that holds a nonzero
     for i, row in enumerate(rows):
         for j in row:
-            cols[j].add(i)
+            cols.setdefault(j, set()).add(i)
     # A lazy heap of (row length, row) items: a row is pushed at the start
     # and again whenever an elimination changes it, and an item of a pivot
     # row or with a stale length is skipped. So every row is looked at
@@ -64,10 +65,9 @@ def _eliminate_units(rows, n):
         v = row[c]
         pivots.append((r, c, v))
         rows[r] = None
-        below, cols[c] = cols[c], set()
-        below.discard(r)
         for j in row:
             cols[j].discard(r)
+        below = cols.pop(c)
         for i in below:
             other = rows[i]
             f = other.pop(c) * v
@@ -138,7 +138,7 @@ def det_int(rows, n) -> int:
     """
     if len(rows) != n:
         raise ValueError("determinant of non-square matrix")
-    pivots, rows = _eliminate_units(rows, n)
+    pivots, rows = _eliminate_units(rows)
     core_rows = [i for i, row in enumerate(rows) if row is not None]
     pivot_cols = {c for _, c, _ in pivots}
     core_cols = [j for j in range(n) if j not in pivot_cols]
@@ -149,96 +149,59 @@ def det_int(rows, n) -> int:
                                for i in core_rows])
 
 
-def _snf_pivot(a, t, m, n):
-    """Position of a nonzero entry of smallest magnitude in a[t:, t:]."""
-    best = None
-    for i in range(t, m):
-        for j in range(t, n):
-            v = abs(a[i][j])
-            if v and (best is None or v < best[0]):
-                best = (v, i, j)
-                if v == 1:
-                    return i, j
-    return None if best is None else (best[1], best[2])
-
-
 def _smith_dense(a):
     """Smith normal form diagonal of the list-of-rows matrix `a`
     (overwritten) by unimodular row and column operations.
 
-    Pivots are chosen with smallest magnitude first to limit coefficient
-    growth; Python ints make any pivot order correct.
+    A round moves an entry d of least magnitude to the corner and reduces
+    the corner's whole column and whole row by x // d. A remainder left
+    behind is a smaller entry, so the round repeats. With the row and
+    column clear, a row holding an entry that d does not divide is added to
+    the corner's row and the round repeats: the corner's row wins ties for
+    the least magnitude, so that entry leaves a remainder. Otherwise |d|
+    joins the diagonal and its row and column leave. The least magnitude
+    only falls while d stays, so the loop ends.
     """
-    m = len(a)
-    n = len(a[0]) if a else 0
-    t = 0
-    while t < min(m, n):
-        pos = _snf_pivot(a, t, m, n)
-        if pos is None:
-            break
-        pi, pj = pos
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        d = a[t][t]
-        # if the pivot does not divide its row/column, reduce one offender
-        # and restart; the remainder left behind is a strictly smaller
-        # candidate pivot, so these restarts terminate
-        restart = False
-        for i in range(t + 1, m):
-            if a[i][t] % d != 0:
-                f = -(a[i][t] // d)
-                a[i] = [x + f * y for x, y in zip(a[i], a[t])]
-                restart = True
-                break
-        if restart:
-            continue
-        for j in range(t + 1, n):
-            if a[t][j] % d != 0:
-                f = -(a[t][j] // d)
+    diagonal = []
+    while True:
+        least = min(((abs(x), i, j) for i, row in enumerate(a)
+                     for j, x in enumerate(row) if x), default=None)
+        if least is None:
+            return diagonal
+        _, i, j = least
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        top = a[0]
+        d = top[0]
+        for k in range(1, len(a)):
+            f = a[k][0] // d
+            if f:
+                a[k] = [x - f * y for x, y in zip(a[k], top)]
+        for k in range(1, len(top)):
+            f = top[k] // d
+            if f:
                 for row in a:
-                    row[j] += f * row[t]
-                restart = True
-                break
-        if restart:
+                    row[k] -= f * row[0]
+        if any(top[1:]) or any(row[0] for row in a[1:]):
             continue
-        # exact clearing (all quotients divide evenly now)
-        for i in range(t + 1, m):
-            if a[i][t] != 0:
-                f = -(a[i][t] // d)
-                a[i] = [x + f * y for x, y in zip(a[i], a[t])]
-        for j in range(t + 1, n):
-            if a[t][j] != 0:
-                f = -(a[t][j] // d)
-                for row in a:
-                    row[j] += f * row[t]
-        # divisibility: pull any non-divisible trailing entry into row t,
-        # which the restart branch then shrinks the pivot against
-        fixed = False
-        for i in range(t + 1, m):
-            if fixed:
-                break
-            for j in range(t + 1, n):
-                if a[i][j] % d != 0:
-                    a[t] = [x + y for x, y in zip(a[t], a[i])]
-                    fixed = True
-                    break
-        if fixed:
+        bad = next((row for row in a[1:] if any(x % d for x in row)), None)
+        if bad is not None:
+            a[0] = [x + y for x, y in zip(top, bad)]
             continue
-        if d < 0:
-            a[t] = [-x for x in a[t]]
-        t += 1
-    return [a[i][i] for i in range(t)]
+        diagonal.append(abs(d))
+        del a[0]
+        for row in a:
+            del row[0]
 
 
-def smith_normal_form(rows, n) -> list:
+def smith_normal_form(rows) -> list:
     """The Smith normal form diagonal d_1 | d_2 | ..., each >= 1 (its
     length is the rank), of the matrix with the sparse rows `rows`
-    (consumed) over columns 0..n-1: a 1 for every unit pivot, then the
-    Smith normal form of the core's nonzero rows and columns."""
-    pivots, rows = _eliminate_units(rows, n)
+    (consumed): a 1 for every unit pivot, then the Smith normal form of the
+    core's nonzero rows and columns. Columns that hold no nonzero add
+    nothing, so the column count is not needed."""
+    pivots, rows = _eliminate_units(rows)
     live = [row for row in rows if row]
     cols = sorted(set().union(*live))
     core = [[row.get(j, 0) for j in cols] for row in live]

@@ -59,7 +59,7 @@ def det(M: IntMatrix) -> int:
 
 
 def snf(M: IntMatrix):
-    return smith_normal_form(M.sparse_rows(), M.n)
+    return smith_normal_form(M.sparse_rows())
 
 
 def identity(k):

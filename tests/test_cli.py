@@ -71,6 +71,32 @@ class TestCertification:
         assert code == 0
         assert out.strip() == "1 1 1 1 1 1"
 
+    @pytest.mark.parametrize("header", ["0 -1", "-1 -1"])
+    def test_negative_matrix_size_exit_code(self, paths, capsys, header):
+        bad = paths["tmp"] / "neg.mat"
+        bad.write_text(header + "\n")
+        code, out, err = run(capsys, "snf", "--matrix", bad)
+        assert (code, out) == (4, "")
+        assert err == (f"error: line 1: negative size in matrix header "
+                       f"'{header}'\n")
+
+    def test_snf_of_empty_matrix_with_huge_column_count(self, paths):
+        # no column holds a nonzero, so nothing may be sized by the count;
+        # the address-space cap turns such an allocation into a quick
+        # failure instead of exhausting memory
+        resource = pytest.importorskip("resource")
+        mat = paths["tmp"] / "wide.mat"
+        mat.write_text("0 1000000000000\n")
+        cap = 1536 * 2 ** 20
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(ohcp.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "ohcp.cli", "snf", "--matrix", str(mat)],
+            env=env, capture_output=True, text=True, timeout=10,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (cap, cap)))
+        assert (done.returncode, done.stdout) == (0, "\n"), done.stderr
+
     def test_ht_method_undecided_on_moebius(self, paths, capsys):
         code, _, err = run(capsys, "tu", "--complex", paths["moebius"],
                            "--dim", "1", "--method", "ht")

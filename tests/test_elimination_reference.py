@@ -3,7 +3,8 @@
 `ohcp.matrices` eliminates +-1 pivots sparsely and hands only the core to
 dense code; tests/dense_elimination_reference.py is the dense code the
 package shipped with. Both must give the same Smith normal form diagonal,
-rank and determinant on dense, sparse +-1 and boundary matrices.
+rank and determinant on dense, sparse +-1, unit-free and boundary
+matrices.
 """
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,10 @@ def matrices(entries, max_dim=7):
 small_int = matrices(st.integers(-5, 5))
 # mostly zeros, the rest +-1: the shape of boundary matrices
 sparse_unit = matrices(st.sampled_from([0, 0, 0, 0, 1, -1]), max_dim=9)
+# no +-1 entry, so the unit kernel leaves the whole matrix to the dense
+# Smith loop, and pairs such as 2 and 3 need its divisibility step
+no_unit = matrices(st.sampled_from([0, 0, 2, -2, 3, -3, 4, -6, 9]),
+                   max_dim=8)
 
 
 def assert_same(M):
@@ -71,6 +76,11 @@ class TestAgainstDenseReference:
     def test_boundary_submatrices(self, M):
         assert_same(M)
 
+    @settings(max_examples=300, deadline=None)
+    @given(no_unit)
+    def test_matrices_without_unit_entries(self, M):
+        assert_same(M)
+
     def test_square_determinants_with_pivot_permutations(self):
         # pivots that land off the diagonal, in both orders, and a core
         M = IntMatrix([[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 3, 0],
@@ -81,7 +91,7 @@ class TestAgainstDenseReference:
 
 
 def assert_units_exhausted(M):
-    pivots, rows = _eliminate_units(M.sparse_rows(), M.n)
+    pivots, rows = _eliminate_units(M.sparse_rows())
     pivot_rows = [r for r, _, _ in pivots]
     pivot_cols = {c for _, c, _ in pivots}
     assert len(set(pivot_rows)) == len(pivot_cols) == len(pivots)
