@@ -18,7 +18,7 @@ from .geometry import weights_from_coordinates
 from .homology import homology_summary, torsion_witness_from_submatrix
 from .matrices import smith_normal_form
 from .solver import OHCPInstance, solve
-from .tu import (TUVerdict, Undecided, find_mobius_subcomplex,
+from .tu import (TUVerdict, Undecided, boundary_of, find_mobius_subcomplex,
                  is_tu_minor_enumeration, mobius_verdict, tu_verdict)
 
 EXIT_OK = 0
@@ -74,23 +74,22 @@ def cmd_snf(args):
 def cmd_tu(args):
     K = _load_complex(args)
     p = args.dim
+    B = boundary_of(K, p)
     if args.method == "auto":
         verdict = tu_verdict(K, p, col_cap=args.col_cap, budget=args.budget)
     elif args.method == "minors":
-        verdict = is_tu_minor_enumeration(K.boundary_columns(p + 1),
-                                          col_cap=args.col_cap)
+        verdict = is_tu_minor_enumeration(B, col_cap=args.col_cap)
     elif args.method == "ht":
         # a Heller-Tompkins partition of the transpose is an orientation
         rows = coface_map(K, p + 1)
-        if orient_consistently(rows, K.count(p + 1)) is None:
+        if orient_consistently(rows, len(B)) is None:
             status = ("inapplicable" if any(len(r) > 2 for r in rows)
                       else "no-partition")
             raise Undecided(f"Heller-Tompkins: {status} (the condition "
                             "is sufficient only)")
         verdict = TUVerdict("TU", "heller-tompkins")
     else:  # mobius
-        verdict = mobius_verdict(K.boundary_columns(p + 1),
-                                 coface_map(K, p + 1), p + 1, args.budget)
+        verdict = mobius_verdict(B, coface_map(K, p + 1), p + 1, args.budget)
     _emit(vars(verdict))
     return EXIT_OK
 
@@ -116,7 +115,8 @@ def cmd_torsion_scan(args):
         _emit({"torsion": False, "verdict": vars(verdict)})
         return EXIT_OK
     w = torsion_witness_from_submatrix(K, p, verdict.witness_rows,
-                                       verdict.witness_cols)
+                                       verdict.witness_cols,
+                                       verdict.witness_det)
     _emit({"torsion": True, "verdict": vars(verdict),
            "L_cols": w.L_cols, "L0_rows": w.L0_rows,
            "torsion_coefficient": w.torsion_coefficient})

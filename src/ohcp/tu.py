@@ -188,7 +188,8 @@ def is_tu_minor_enumeration(cols, col_cap: int = 16) -> TUVerdict:
     return TUVerdict("TU", "minor-enumeration")
 
 
-def find_mobius_subcomplex(B, rows, q: int, budget: int = 10 ** 6):
+def find_mobius_subcomplex(B, rows, q: int, budget: int = 10 ** 6,
+                           unbalanced: bool = False):
     """Search for a non-orientable cycle complex of q-simplices, given the
     q-boundary's sparse columns `B` (K.boundary_columns(q)) and its signed
     rows `rows` (coface_map(K, q)).
@@ -210,7 +211,9 @@ def find_mobius_subcomplex(B, rows, q: int, budget: int = 10 ** 6):
     Three cofaces of one face close a triangle of product -1, so the graph
     is balanced exactly when orient_consistently(rows, len(B)) succeeds,
     which needs no face with three cofaces: when the complex is an
-    orientable pseudomanifold. The signed graph is read off the same rows.
+    orientable pseudomanifold. A caller that has seen that call fail passes
+    unbalanced=True, and the test is not run again. The signed graph is
+    read off the same rows.
 
     Otherwise the DFS carries the sign product of its path and prunes it.
     It tests a path of three members when it first reaches it, and a path
@@ -237,7 +240,7 @@ def find_mobius_subcomplex(B, rows, q: int, budget: int = 10 ** 6):
     if q == 1:
         return None
     n = len(B)
-    if orient_consistently(rows, n) is not None:
+    if not unbalanced and orient_consistently(rows, n) is not None:
         return None
     # adj[a]: (b, sign, face) for each simplex b sharing a (q-1)-face with a
     adj = [[] for _ in range(n)]
@@ -340,12 +343,14 @@ def find_mobius_subcomplex(B, rows, q: int, budget: int = 10 ** 6):
     return None
 
 
-def mobius_verdict(B, rows, q: int, budget: int) -> TUVerdict:
+def mobius_verdict(B, rows, q: int, budget: int,
+                   unbalanced: bool = False) -> TUVerdict:
     """The Moebius route over the q-boundary's columns `B` and signed rows
     `rows`: NotTU with the minor carved out by the first Moebius complex of
     q-simplices, else TU, which is conclusive only for q <= 2 (raises
-    Undecided above)."""
-    w = find_mobius_subcomplex(B, rows, q, budget=budget)
+    Undecided above). `unbalanced` is find_mobius_subcomplex's."""
+    w = find_mobius_subcomplex(B, rows, q, budget=budget,
+                               unbalanced=unbalanced)
     if w is None:
         if q > 2:
             raise Undecided("no Moebius subcomplex found, but absence is "
@@ -357,6 +362,16 @@ def mobius_verdict(B, rows, q: int, budget: int) -> TUVerdict:
     return TUVerdict("NotTU", "mobius-search", rows_w, cols_w, d)
 
 
+def boundary_of(K: SimplicialComplex, p: int):
+    """The sparse columns of the (p+1)-boundary of K, whose TU every route
+    decides; an error names p and its range 0..K.dim - 1, not p + 1."""
+    if not 0 <= p < K.dim:
+        if p < 0 < K.dim:
+            raise InputError(f"dimension {p} out of range 0..{K.dim - 1}")
+        raise InputError(f"complex has no {max(p + 1, 1)}-simplices")
+    return K.boundary_columns(p + 1)
+
+
 def tu_verdict(K: SimplicialComplex, p: int, col_cap: int = 16,
                budget: int = 10 ** 6) -> TUVerdict:
     """Decision cascade for total unimodularity of the (p+1)-boundary matrix.
@@ -365,15 +380,15 @@ def tu_verdict(K: SimplicialComplex, p: int, col_cap: int = 16,
     p <= 1 (a full characterization there), (c) capped minor enumeration.
     For p = 0 the search returns at once: every cycle of edges is
     orientable (a graph's incidence matrix is TU). The boundary's columns
-    and signed rows are built once and read by every route.
+    and signed rows are built once and read by every route, and the
+    shortcut's parity coloring is the Moebius search's balance test, so it
+    runs once.
     """
     q = p + 1
-    if q > K.dim:
-        raise InputError(f"complex has no {q}-simplices")
-    B = K.boundary_columns(q)
+    B = boundary_of(K, p)
     rows = coface_map(K, q)
     if orient_consistently(rows, len(B)) is not None:
         return TUVerdict("TU", "orientable-manifold-shortcut")
     if p <= 1:
-        return mobius_verdict(B, rows, q, budget)
+        return mobius_verdict(B, rows, q, budget, unbalanced=True)
     return is_tu_minor_enumeration(B, col_cap=col_cap)

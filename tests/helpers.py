@@ -1,7 +1,10 @@
 """Test-only helpers: a dense integer matrix to build cases with, its
 products, determinant and Smith normal form, the boundary of a chain, grid
-Klein bottles and tori, a complex written as .scx text for the command-line
-tests, and two reference boundary matrices."""
+Klein bottles, tori and Moebius strips, the Kuhn 3-torus, suspensions, a
+complex written as .scx text for the command-line tests, and two reference
+boundary matrices."""
+import itertools
+
 from ohcp.complexes import SimplicialComplex, build_closure
 from ohcp.matrices import det_int, smith_normal_form
 
@@ -115,6 +118,49 @@ def torus_grid(a, b):
         tri for i in range(a) for j in range(b)
         for tri in ([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)],
                     [vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)]))
+
+
+def mobius_grid(a, b):
+    """a x b grid Moebius strip: rows i = 0..a, and the seam j = b glued to
+    j = 0 with the reflection i -> a - i; each square is cut along its
+    (i, j)-(i+1, j+1) diagonal. It needs b >= 3."""
+    def vid(i, j):
+        if j >= b:
+            i, j = a - i, j - b
+        return i + (a + 1) * j
+    return build_closure(
+        tri for i in range(a) for j in range(b)
+        for tri in ([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)],
+                    [vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)]))
+
+
+def kuhn_torus3(k):
+    """The k^3 Kuhn (Freudenthal) triangulation of the 3-torus, k >= 3:
+    each unit cube is cut into 6 tetrahedra along its main diagonal, one
+    per order of the three unit steps from its corner to the opposite one,
+    and the grid is glued periodically. It has 6k^3 tetrahedra and 12k^3
+    triangles."""
+    steps = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def vid(x, y, z):
+        return x % k + k * (y % k) + k * k * (z % k)
+    tets = []
+    for corner in itertools.product(range(k), repeat=3):
+        for order in itertools.permutations(steps):
+            v = list(corner)
+            tet = [vid(*v)]
+            for step in order:
+                v = [a + b for a, b in zip(v, step)]
+                tet.append(vid(*v))
+            tets.append(tet)
+    return build_closure(tets)
+
+
+def suspension(K: SimplicialComplex):
+    """The suspension of K: each top simplex coned from two new vertices."""
+    apex = K.count(0)
+    return build_closure(s + (v,) for s in K.simplices(K.dim)
+                         for v in (apex, apex + 1))
 
 
 def write_complex(K: SimplicialComplex) -> str:

@@ -221,6 +221,18 @@ class TestSolvePipeline:
             assert err == f"error: dimension {argv[2]} out of range 0..2\n"
 
     @pytest.mark.parametrize("argv", [
+        ("tu",), ("tu", "--method", "minors"), ("tu", "--method", "ht"),
+        ("tu", "--method", "mobius"), ("torsion-scan",),
+    ], ids=" ".join)
+    def test_negative_dim_names_p(self, paths, capsys, argv):
+        # --dim is p, and the boundary read is the (p+1)-boundary; the error
+        # names p and its range, not p + 1 and the boundaries' range
+        code, out, err = run(capsys, *argv, "--complex", paths["triangle"],
+                             "--dim", "-1")
+        assert (code, out) == (4, "")
+        assert err == "error: dimension -1 out of range 0..1\n"
+
+    @pytest.mark.parametrize("argv", [
         ("tu", "--dim", "1", "--budget", "-1"),
         ("tu", "--dim", "1", "--method", "minors", "--col-cap", "-1"),
         ("tu", "--dim", "1", "--col-cap", "-1"),

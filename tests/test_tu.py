@@ -281,6 +281,23 @@ class TestVerdictCascade:
         assert v.status == ("NotTU" if name == "klein" else "TU")
         assert calls == [2]
 
+    def test_one_coloring_per_verdict(self, monkeypatch):
+        # the shortcut's failed coloring is the Moebius search's balance
+        # test; a direct call of the search still runs its own
+        K = klein_grid(3, 3)
+        calls = []
+
+        def counted(rows, n):
+            calls.append(n)
+            return complexes.orient_consistently(rows, n)
+        monkeypatch.setattr(tu, "orient_consistently", counted)
+        v = tu_verdict(K, 1)
+        assert (v.status, v.method) == ("NotTU", "mobius-search")
+        assert calls == [K.count(2)]
+        assert find_mobius_subcomplex(K.boundary_columns(2), coface_map(K, 2),
+                                      2) is not None
+        assert calls == [K.count(2)] * 2
+
     def test_dimension_out_of_range(self):
         with pytest.raises(ValueError):
             tu_verdict(fixtures.triangle(), 2)
